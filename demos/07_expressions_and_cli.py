@@ -44,7 +44,7 @@ cfg_path.write_text(json.dumps(config, indent=2))
 print(f"\nconfig at {cfg_path}")
 
 loaded = load_config(cfg_path)
-print(f"loaded: alpha={loaded.alpha}, grid n={loaded.n}, u0 sampled min={loaded.u0_field().values.min()}")
+print(f"loaded: alpha={loaded.alpha}, grid n={loaded.n}, u0 sampled min={loaded.problem().u0.values.min()}")
 
 code = main(["solve", "--config", str(cfg_path), "--out", str(workdir / "out")])
 print(f"solve exit code: {code}")

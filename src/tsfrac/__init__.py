@@ -24,7 +24,6 @@ from .fraclap import (
     sign_split,
 )
 from .kernels import (
-    KernelSpec,
     TimeMesh,
     TimeSeries,
     convolve,
@@ -49,7 +48,6 @@ from .solver import (
     Solution,
     mollified_test_function,
     solve,
-    step,
     weak_residual,
 )
 from .timefrac import (
@@ -68,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernels
-    "KernelSpec", "TimeMesh", "TimeSeries", "g_kernel", "h_kernel",
+    "TimeMesh", "TimeSeries", "g_kernel", "h_kernel",
     "regularized_kernel", "monotone_regularized_kernel", "convolve", "mittag_leffler",
     # timefrac
     "CaputoScheme", "ConvexProbe", "gl_weights", "l1_weights", "caputo_apply",
@@ -77,7 +75,7 @@ __all__ = [
     "SpaceGrid", "Field", "FracLapMatrix", "normalization_constant",
     "assemble_1d", "bilinear_a", "sign_split",
     # solver
-    "FracOrders", "ProblemSpec", "Solution", "solve", "step",
+    "FracOrders", "ProblemSpec", "Solution", "solve",
     "mollified_test_function", "weak_residual",
     # principles
     "BoundaryClass", "PrincipleReport", "TrialConfig", "classify",

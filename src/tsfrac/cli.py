@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,17 +78,17 @@ class RunConfig:
     def mesh(self) -> kernels.TimeMesh:
         return kernels.TimeMesh(self.T, self.M)
 
-    def u0_field(self) -> fraclap.Field:
-        vals = _sample_expr(self.u0_expr, self.grid().nodes(), 0.0, "u0")
-        return fraclap.Field(self.grid(), vals)
-
-    def forcing(self):
-        expr = self.f_expr
-
-        def f(x, t):
-            return _sample_expr(expr, x, t, "f")
-
-        return f
+    def problem(self) -> solver.ProblemSpec:
+        """The configured problem: u0 sampled on the grid, f sampled per step by the solver."""
+        grid = self.grid()
+        u0 = fraclap.Field(grid, _sample_expr(self.u0_expr, grid.nodes(), 0.0, "u0"))
+        return solver.ProblemSpec(
+            solver.FracOrders(self.alpha, self.beta),
+            grid,
+            self.mesh(),
+            u0,
+            lambda x, t: _sample_expr(self.f_expr, x, t, "f"),
+        )
 
 
 def _sample_expr(expr: exprparse.Expr, xs: np.ndarray, t: float, key: str) -> np.ndarray:
@@ -204,7 +205,13 @@ def _coerce(key, value, typ):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+        return value
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
@@ -226,14 +233,7 @@ def _outdir(config: RunConfig, override: str | None) -> Path:
 
 def cmd_solve(config: RunConfig, out_override: str | None = None) -> int:
     out = _outdir(config, out_override)
-    problem = solver.ProblemSpec(
-        solver.FracOrders(config.alpha, config.beta),
-        config.grid(),
-        config.mesh(),
-        config.u0_field(),
-        config.forcing(),
-    )
-    sol = solver.solve(problem)
+    sol = solver.solve(config.problem())
     (out / "solution.csv").write_text(solver.solution_to_csv(sol))
     meta = solver.solution_metadata(sol, solver.config_hash(config.raw))
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -278,48 +278,33 @@ def _verify_identities(config: RunConfig) -> dict:
     }
 
 
-def _configured_problem_report(config: RunConfig, suite: str) -> dict | None:
-    """Deterministic check of the configured (u0, f) profile, where applicable."""
-    problem = solver.ProblemSpec(
-        solver.FracOrders(config.alpha, config.beta),
-        config.grid(),
-        config.mesh(),
-        config.u0_field(),
-        config.forcing(),
-    )
-    u0v = problem.u0.values
-    fsamp = problem.forcing_samples()
-    if suite == "nonneg":
-        if np.any(u0v < 0.0) or np.any(fsamp < 0.0):
-            raise ConfigError(
-                "nonnegativity check demands u0 >= 0 and f >= 0; "
-                "the configured expressions sample negative values"
-            )
-        sol = solver.solve(problem)
-        return principles.check_nonnegativity(sol).to_json_dict()
-    if suite == "boundary":
-        if np.any(fsamp < 0.0):
-            raise ConfigError(
-                "parabolic-boundary (min) check demands f >= 0; "
-                "the configured expression samples negative values"
-            )
-        sol = solver.solve(problem)
-        return principles.check_parabolic_boundary(sol, "min").to_json_dict()
-    return None
-
-
 def cmd_verify(config: RunConfig, suite: str, out_override: str | None = None) -> int:
     out = _outdir(config, out_override)
     suites = ("nonneg", "boundary", "weak", "identities") if suite == "all" else (suite,)
     trial_kind = {"nonneg": "nonneg", "boundary": "boundary-min", "weak": "weak-nonneg"}
+    # The configured (u0, f) profile is checked deterministically by the
+    # nonneg and boundary suites; both use this one solve.
+    sol = solver.solve(config.problem()) if {"nonneg", "boundary"} & set(suites) else None
     report: dict = {}
     any_fail = False
     for s in suites:
         entry: dict = {}
-        configured = _configured_problem_report(config, s)
-        if configured is not None:
-            entry["configured_profile"] = configured
-            any_fail |= configured["status"] != "pass"
+        if s == "nonneg":
+            if np.any(sol.states[0] < 0.0) or np.any(sol.forcing < 0.0):
+                raise ConfigError(
+                    "nonnegativity check demands u0 >= 0 and f >= 0; "
+                    "the configured expressions sample negative values"
+                )
+            entry["configured_profile"] = principles.check_nonnegativity(sol).to_json_dict()
+        elif s == "boundary":
+            if np.any(sol.forcing < 0.0):
+                raise ConfigError(
+                    "parabolic-boundary (min) check demands f >= 0; "
+                    "the configured expression samples negative values"
+                )
+            entry["configured_profile"] = principles.check_parabolic_boundary(sol, "min").to_json_dict()
+        if "configured_profile" in entry:
+            any_fail |= entry["configured_profile"]["status"] != "pass"
         if s == "identities":
             entry["trials"] = _verify_identities(config)
         else:
@@ -501,10 +486,6 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         config = load_config(args.config)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "solve":
             return cmd_solve(config, args.out)
         if args.command == "verify":
@@ -512,7 +493,7 @@ def main(argv=None) -> int:
         if args.command == "convergence":
             return cmd_convergence(config, args.out)
         return cmd_kernel_table(config, args.out)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as e:

@@ -23,7 +23,6 @@ import numpy as np
 from scipy import integrate, signal, special
 
 __all__ = [
-    "KernelSpec",
     "TimeMesh",
     "TimeSeries",
     "g_kernel",
@@ -66,23 +65,6 @@ class TimeMesh:
         if self.M == 0:
             return np.zeros(1)
         return np.linspace(0.0, self.T, self.M + 1)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Order alpha in (0,1), horizon T > 0, optional regularization index m >= 1."""
-
-    alpha: float
-    T: float
-    m: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
 
 
 @dataclass(frozen=True)

@@ -269,8 +269,8 @@ def _random_forcing(rng, grid: SpaceGrid, modes: int, clip: str):
 def run_trials(config: TrialConfig) -> PrincipleReport:
     """Run seeded randomized trials over the lattice; aggregate the worst case.
 
-    Matrices are assembled once per beta and the implicit stepper is
-    factored once per (alpha, beta); trials sweep the lattice round-robin.
+    Matrices are assembled once per beta; each trial's solve factors its
+    own system b_0 I + A.  Trials sweep the lattice round-robin.
     Deterministic: the same config yields the identical report.
     """
     master = np.random.default_rng(config.seed)

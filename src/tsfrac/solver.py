@@ -11,8 +11,7 @@ Every coefficient on the right is positive and (b_0 I + A) is a symmetric
 positive-definite M-matrix, so each step is uniquely solvable and
 inverse-positive: nonnegative data propagate to nonnegative states
 exactly, which is the discrete engine behind the maximum-principle
-checks.  A Grunwald-Letnikov stepper is kept alongside for cross-checks
-(first order; positivity not guaranteed).
+checks.
 
 Also here: the mollified test functions and the mollified weak-form
 residual used by the weak maximum-principle machinery.
@@ -30,13 +29,12 @@ from scipy import linalg
 
 from .fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d, bilinear_a
 from .kernels import TimeMesh, TimeSeries, convolve, h_kernel, regularized_kernel
-from .timefrac import gl_weights, l1_weights
+from .timefrac import l1_weights
 
 __all__ = [
     "FracOrders",
     "ProblemSpec",
     "Solution",
-    "step",
     "solve",
     "mollified_test_function",
     "weak_residual",
@@ -105,71 +103,13 @@ class Solution:
         return Field(self.problem.grid, self.states[n])
 
 
-class _L1Stepper:
-    """Factored L1-implicit stepper; reusable across steps and trials."""
+def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
+    """Assemble (once) and run all M L1-implicit steps; deterministic for fixed inputs.
 
-    def __init__(self, alpha: float, tau: float, A: FracLapMatrix, nmax: int):
-        self.b = l1_weights(alpha, tau, nmax)
-        n = A.grid.n
-        self.cho = linalg.cho_factor(self.b[0] * np.eye(n) + A.entries)
-
-    def advance(self, history: np.ndarray, fn: np.ndarray) -> np.ndarray:
-        """One step given history u^0..u^{n-1} (rows) and the forcing sample f^n."""
-        n = history.shape[0]
-        rhs = self.b[n - 1] * history[0] + fn
-        if n > 1:
-            w = self.b[:n-1] - self.b[1:n]  # b_{j-1} - b_j > 0, j = 1..n-1
-            rhs = rhs + w @ history[:0:-1]  # u^{n-1}, ..., u^1
-        return linalg.cho_solve(self.cho, rhs)
-
-
-class _GLStepper:
-    """Grunwald-Letnikov implicit stepper (cross-check path)."""
-
-    def __init__(self, alpha: float, tau: float, A: FracLapMatrix, nmax: int):
-        self.w = gl_weights(alpha, nmax)
-        self.scale = tau ** (-alpha)
-        n = A.grid.n
-        self.cho = linalg.cho_factor(self.scale * np.eye(n) + A.entries)
-
-    def advance(self, history: np.ndarray, fn: np.ndarray) -> np.ndarray:
-        # rhs = f^n + tau^{-a} u^0 - tau^{-a} sum_{j=1}^{n} w_j (u^{n-j} - u^0)
-        n = history.shape[0]
-        wsum = float(np.sum(self.w[1 : n + 1]))
-        hist_sum = self.w[1:n] @ history[:0:-1] if n > 1 else np.zeros_like(fn)
-        hist_sum = hist_sum + self.w[n] * history[0]
-        rhs = fn + self.scale * ((1.0 + wsum) * history[0] - hist_sum)
-        return linalg.cho_solve(self.cho, rhs)
-
-
-def step(problem: ProblemSpec, A: FracLapMatrix, history) -> Field:
-    """Advance one L1-implicit step from states 0..n-1 (one-shot convenience).
-
-    ``history`` is a sequence of Fields or a (n, grid.n) array.  The system
-    matrix b_0 I + A is SPD and an M-matrix, so the step is uniquely
-    solvable and maps nonnegative data to nonnegative states.
+    The weights, their differences and the Cholesky factor of b_0 I + A are
+    computed once; each step then forms its right-hand side and does two
+    triangular solves.
     """
-    if isinstance(history, np.ndarray):
-        hist = np.atleast_2d(np.asarray(history, dtype=float))
-    else:
-        hist = np.vstack([f.values for f in history])
-    if hist.shape[0] < 1:
-        raise ValueError("history must contain at least u^0")
-    if A.grid != problem.grid:
-        raise ValueError("matrix assembled on a different grid")
-    n = hist.shape[0]
-    stepper = _L1Stepper(problem.orders.alpha, problem.mesh.tau, A, nmax=n)
-    fn = np.broadcast_to(
-        np.asarray(problem.forcing(problem.grid.nodes(), n * problem.mesh.tau), dtype=float),
-        (problem.grid.n,),
-    )
-    return Field(problem.grid, stepper.advance(hist, fn))
-
-
-def solve(problem: ProblemSpec, A: FracLapMatrix | None = None, kind: str = "l1") -> Solution:
-    """Assemble (once) and run all M steps; deterministic for fixed inputs."""
-    if kind not in ("l1", "gl"):
-        raise ValueError(f"kind must be 'l1' or 'gl', got {kind!r}")
     if A is None:
         A = assemble_1d(problem.grid, problem.orders.beta)
     elif A.grid != problem.grid:
@@ -181,10 +121,14 @@ def solve(problem: ProblemSpec, A: FracLapMatrix | None = None, kind: str = "l1"
     states[0] = problem.u0.values
     if M == 0:
         return Solution(problem=problem, states=states, forcing=fsamp)
-    cls = _L1Stepper if kind == "l1" else _GLStepper
-    stepper = cls(problem.orders.alpha, problem.mesh.tau, A, nmax=M)
+    b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
+    w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j > 0, j = 1..M
+    cho = linalg.cho_factor(b[0] * np.eye(nx) + A.entries)
     for n in range(1, M + 1):
-        states[n] = stepper.advance(states[:n], fsamp[n])
+        rhs = b[n - 1] * states[0] + fsamp[n]
+        if n > 1:
+            rhs = rhs + w[: n - 1] @ states[n - 1 : 0 : -1]  # u^{n-1}, ..., u^1
+        states[n] = linalg.cho_solve(cho, rhs)
     return Solution(problem=problem, states=states, forcing=fsamp)
 
 

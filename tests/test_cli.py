@@ -1,6 +1,7 @@
 """CLI tests: config validation, subcommand outputs, exit-code contract."""
 
 import json
+import math
 
 import pytest
 
@@ -37,7 +38,7 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path))
         assert cfg.alpha == 0.5 and cfg.n == 16
         assert cfg.m_ladder == (4, 16, 64, 256)
-        assert cfg.u0_field().values[0] >= 0.0
+        assert cfg.problem().u0.values[0] >= 0.0
 
     def test_alpha_out_of_range_names_key_and_interval(self, tmp_path):
         with pytest.raises(ConfigError) as info:
@@ -121,7 +122,7 @@ class TestVerifyCommand:
     def test_sign_violating_profile_is_usage_error(self, tmp_path):
         # nonneg suite demands u0 >= 0; configured profile dips negative
         cfg = write_config(tmp_path, {"u0": "x"})
-        assert main(["verify", "--config", str(cfg), "--suite", "nonneg"]) == 2
+        assert main(["verify", "--config", str(cfg), "--suite", "nonneg", "--out", str(tmp_path)]) == 2
 
 
 class TestKernelTableCommand:
@@ -153,6 +154,24 @@ class TestExitCodes:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
+
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys):
+        # json.loads accepts Infinity, NaN and integers beyond float range;
+        # none of them may reach the solver
+        cases = (("T", math.inf), ("a", -math.inf), ("beta", math.nan), ("T", 10**400))
+        for i, (key, value) in enumerate(cases):
+            cfg = write_config(tmp_path, {key: value}, name=f"c{i}.json")
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
+
+    def test_os_errors_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["solve", "--config", str(cfg), "--out", str(blocker / "out")]) == 2
+        assert main(["solve", "--config", str(tmp_path)]) == 2  # a directory, not a file
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
     def test_bad_usage_exit_two(self, tmp_path):
         assert main(["verify", "--config", "x", "--suite", "bogus"]) == 2

@@ -7,13 +7,15 @@ closed form E_{1/2}(-x) = exp(x^2) erfc(x) across all three algorithm
 regimes via scipy.special.erfcx.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx
 
 from tsfrac.kernels import (
-    KernelSpec,
     TimeMesh,
     TimeSeries,
     convolve,
@@ -259,6 +261,32 @@ class TestMittagLeffler:
         for x in (0.5, 1.0, 2.0, 3.0, 5.0, 9.0, 10.5, 20.0, 50.0):
             assert mittag_leffler(0.5, -x) == pytest.approx(float(erfcx(x)), rel=1e-7), x
 
+    # Relative-error bounds stated in the README for alpha in [0.5, 0.99]:
+    # 1e-13 on [-10, 0], and per alpha past the asymptotic seam (z < -10).
+    SEAM_BOUNDS = {0.5: 1e-14, 0.6: 1e-14, 0.7: 1e-8, 0.8: 1e-6, 0.9: 2e-4, 0.95: 3e-3, 0.99: 3e-2}
+
+    @staticmethod
+    def _mpmath_series(alpha, z):
+        # The largest term is about exp(|z|^(1/alpha)); carry that many digits plus 30.
+        x = abs(z)
+        with mpmath.workdps(int(x ** (1 / alpha) / math.log(10)) + 30):
+            a, zz = mpmath.mpf(alpha), mpmath.mpf(z)
+            total, k = mpmath.mpf(0), 0
+            while True:
+                term = zz**k / mpmath.gamma(a * k + 1)
+                total += term
+                if k * alpha > 2 * x ** (1 / alpha) + 5 and abs(term) < 1e-25 * abs(total):
+                    return float(total)
+                k += 1
+
+    @pytest.mark.parametrize("alpha", sorted(SEAM_BOUNDS))
+    def test_negative_axis_against_mpmath_series(self, alpha):
+        for z in (-0.5, -1.5, -3.0, -6.0, -9.9, -10.0001, -10.4, -11.0, -13.0, -16.0, -20.0):
+            ref = self._mpmath_series(alpha, z)
+            rel = abs(mittag_leffler(alpha, z) - ref) / abs(ref)
+            bound = 1e-13 if z >= -10.0 else self.SEAM_BOUNDS[alpha]
+            assert rel < bound, (alpha, z, rel)
+
     def test_monotone_decreasing_on_negative_axis(self):
         for alpha in (0.3, 0.6, 0.9):
             xs = np.linspace(0.0, 40.0, 300)
@@ -273,16 +301,6 @@ class TestMittagLeffler:
 
 
 class TestDataTypes:
-    def test_kernel_spec_validation(self):
-        KernelSpec(0.5, 1.0, 4)
-        KernelSpec(0.5, 2.0)
-        with pytest.raises(ValueError):
-            KernelSpec(1.0, 1.0)
-        with pytest.raises(ValueError):
-            KernelSpec(0.5, 0.0)
-        with pytest.raises(ValueError):
-            KernelSpec(0.5, 1.0, 0)
-
     def test_time_series_validation(self):
         with pytest.raises(ValueError):
             TimeSeries(0.0, np.ones(3))

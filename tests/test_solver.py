@@ -21,9 +21,9 @@ from tsfrac.solver import (
     solution_metadata,
     solution_to_csv,
     solve,
-    step,
     weak_residual,
 )
+from tsfrac.timefrac import gl_weights, l1_weights
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -60,13 +60,19 @@ class TestStepAndSolve:
         assert sol.states.shape == (1, 8)
         np.testing.assert_array_equal(sol.states[0], np.ones(8))
 
-    def test_step_matches_solve(self):
-        problem = bump_problem(M=12)
+    def test_states_satisfy_l1_equation(self):
+        # (b_0 I + A) u^k = sum_{j=1}^{k-1} (b_{j-1} - b_j) u^{k-j} + b_{k-1} u^0 + f^k
+        problem = bump_problem(M=12, f_fn=lambda x, t: (1.0 - x**2) * (1.0 + t))
         A = assemble_1d(problem.grid, problem.orders.beta)
         sol = solve(problem, A=A)
+        b = l1_weights(problem.orders.alpha, problem.mesh.tau, problem.mesh.M)
+        u = sol.states
         for k in (1, 5, 12):
-            out = step(problem, A, sol.states[:k])
-            np.testing.assert_allclose(out.values, sol.states[k], rtol=0, atol=1e-13)
+            rhs = b[k - 1] * u[0] + sol.forcing[k]
+            for j in range(1, k):
+                rhs = rhs + (b[j - 1] - b[j]) * u[k - j]
+            lhs = b[0] * u[k] + A.entries @ u[k]
+            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_scalar_relaxation_vs_mittag_leffler(self):
         problem, lam = scalar_problem(0.5, 2048)
@@ -75,9 +81,19 @@ class TestStepAndSolve:
         assert abs(sol.states[-1, 0] - exact) / exact < 1e-2
 
     def test_gl_cross_check_on_scalar(self):
-        problem, lam = scalar_problem(0.5, 2048)
-        got = solve(problem, A=lam, kind="gl").states[-1, 0]
-        assert got == pytest.approx(mittag_leffler(0.5, -1.0), rel=1e-2)
+        # Grunwald-Letnikov oracle for the scalar relaxation with lambda = 1:
+        # tau^-alpha sum_{j=0}^{n} w_j (u^{n-j} - u^0) + u^n = 0
+        alpha, M = 0.5, 2048
+        problem, lam = scalar_problem(alpha, M)
+        w = gl_weights(alpha, M)
+        scale = problem.mesh.tau ** (-alpha)
+        u = np.empty(M + 1)
+        u[0] = 1.0
+        for n in range(1, M + 1):
+            hist = w[1 : n + 1] @ (u[n - 1 :: -1] - u[0])  # u^{n-1}, ..., u^0
+            u[n] = scale * (u[0] - hist) / (scale + 1.0)
+        assert u[-1] == pytest.approx(mittag_leffler(alpha, -1.0), rel=1e-2)
+        assert u[-1] == pytest.approx(solve(problem, A=lam).states[-1, 0], rel=1e-2)
 
     def test_exact_positivity(self):
         rng = np.random.default_rng(51)
@@ -160,8 +176,6 @@ class TestStepAndSolve:
         with pytest.raises(ValueError):
             FracOrders(0.5, 1.0)
         problem = bump_problem()
-        with pytest.raises(ValueError):
-            solve(problem, kind="rk4")
         other = assemble_1d(SpaceGrid(0.0, 1.0, 32), 0.5)
         with pytest.raises(ValueError):
             solve(problem, A=other)
