@@ -25,30 +25,31 @@ try:
 except Exception as e:
     print(f"error example: {e}")
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="tsfrac-demo-"))
-config = {
-    "alpha": 0.5,
-    "beta": 0.5,
-    "a": -1.0,
-    "b": 1.0,
-    "n": 32,
-    "T": 1.0,
-    "M": 24,
-    "u0": "max(0, 1 - 4*x^2)",
-    "f": "0.1*(1 + cos(3.14159265358979*x))",
-    "trials": 5,
-    "seed": 1,
-}
-cfg_path = workdir / "config.json"
-cfg_path.write_text(json.dumps(config, indent=2))
-print(f"\nconfig at {cfg_path}")
+with tempfile.TemporaryDirectory(prefix="tsfrac-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
+    config = {
+        "alpha": 0.5,
+        "beta": 0.5,
+        "a": -1.0,
+        "b": 1.0,
+        "n": 32,
+        "T": 1.0,
+        "M": 24,
+        "u0": "max(0, 1 - 4*x^2)",
+        "f": "0.1*(1 + cos(3.14159265358979*x))",
+        "trials": 5,
+        "seed": 1,
+    }
+    cfg_path = workdir / "config.json"
+    cfg_path.write_text(json.dumps(config, indent=2))
+    print(f"\nconfig at {cfg_path}")
 
-loaded = load_config(cfg_path)
-print(f"loaded: alpha={loaded.alpha}, grid n={loaded.n}, u0 sampled min={loaded.problem().u0.values.min()}")
+    loaded = load_config(cfg_path)
+    print(f"loaded: alpha={loaded.alpha}, grid n={loaded.n}, u0 sampled min={loaded.problem().u0.values.min()}")
 
-code = main(["solve", "--config", str(cfg_path), "--out", str(workdir / "out")])
-print(f"solve exit code: {code}")
-code = main(["verify", "--config", str(cfg_path), "--suite", "nonneg", "--out", str(workdir / "out")])
-print(f"verify exit code: {code}")
-report = json.loads((workdir / "out" / "verify_report.json").read_text())
-print(f"verify status: {report['nonneg']['trials']['status']}")
+    code = main(["solve", "--config", str(cfg_path), "--out", str(workdir / "out")])
+    print(f"solve exit code: {code}")
+    code = main(["verify", "--config", str(cfg_path), "--suite", "nonneg", "--out", str(workdir / "out")])
+    print(f"verify exit code: {code}")
+    report = json.loads((workdir / "out" / "verify_report.json").read_text())
+    print(f"verify status: {report['nonneg']['trials']['status']}")

@@ -8,7 +8,7 @@ inequalities, M-matrix structure of the nonlocal operator, nonnegativity
 and parabolic-boundary checks, and a Mittag-Leffler relaxation oracle.
 
 Modules: kernels (power-law/mollified kernels, convolution,
-Mittag-Leffler), timefrac (L1/GL derivatives, convexity identities),
+Mittag-Leffler), timefrac (L1 derivative, convexity identities),
 fraclap (fractional Laplacian assembly and energy form), solver
 (implicit stepping, weak residual), principles (maximum-principle
 harness), exprparse (config expressions), cli (command line).
@@ -51,9 +51,8 @@ from .solver import (
     weak_residual,
 )
 from .timefrac import (
-    CaputoScheme,
     ConvexProbe,
-    caputo_apply,
+    caputo_l1,
     convex_inequality_check,
     fundamental_identity_residual,
     gl_weights,
@@ -69,7 +68,7 @@ __all__ = [
     "TimeMesh", "TimeSeries", "g_kernel", "h_kernel",
     "regularized_kernel", "monotone_regularized_kernel", "convolve", "mittag_leffler",
     # timefrac
-    "CaputoScheme", "ConvexProbe", "gl_weights", "l1_weights", "caputo_apply",
+    "ConvexProbe", "gl_weights", "l1_weights", "caputo_l1",
     "fundamental_identity_residual", "convex_inequality_check", "rl_extremum_sign",
     # fraclap
     "SpaceGrid", "Field", "FracLapMatrix", "normalization_constant",

@@ -139,8 +139,6 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     the near-field weight, the exact in-domain kernel mass outside the
     h/2 ball, and the exterior tail.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
     n = grid.n
     h = grid.h
     c = normalization_constant(1, beta)
@@ -150,12 +148,13 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
 
     # Hat-function weights: H_1 sees the h/2 exclusion ball, H_d (d >= 2) the full hat.
     coef = np.zeros(n)  # coupling magnitude at distance d
-    H1 = (
-        _pow_integral(h / 2.0, h, pr) / h
-        + 2.0 * _pow_integral(h, 2.0 * h, pk)
-        - _pow_integral(h, 2.0 * h, pr) / h
-    )
-    coef[1] = H1 + w_near / h**2
+    if n > 1:
+        H1 = (
+            _pow_integral(h / 2.0, h, pr) / h
+            + 2.0 * _pow_integral(h, 2.0 * h, pk)
+            - _pow_integral(h, 2.0 * h, pr) / h
+        )
+        coef[1] = H1 + w_near / h**2
     if n > 2:
         d = np.arange(2, n, dtype=float)
         lo, mid, hi = (d - 1.0) * h, d * h, (d + 1.0) * h
@@ -206,8 +205,6 @@ def bilinear_a(u: Field, v: Field, beta: float) -> float:
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
     grid = u.grid
     n, h = grid.n, grid.h
     c = normalization_constant(1, beta)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import integrate, special
 
 __all__ = [
     "TimeMesh",
@@ -33,9 +33,6 @@ __all__ = [
     "convolve",
     "mittag_leffler",
 ]
-
-# Above this length the regularized-kernel convolution switches to FFT.
-_FFT_THRESHOLD = 8192
 
 
 @dataclass(frozen=True)
@@ -159,14 +156,9 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
         gmass[1:] = tau * g_kernel(1.0 - alpha, mids[1:])
     hmid = h_kernel(m, mids)  # h_m((q + 1/2) tau), q = 0..M-1
     # out[n] = sum_{j<n} gmass[j] * h_m(t_n - mid_j) = (gmass * hmid)[n-1]
-    if M > _FFT_THRESHOLD:
-        conv = signal.fftconvolve(gmass, hmid)[:M]
-        conv = np.maximum(conv, 0.0)  # FFT roundoff can graze below zero
-    else:
-        conv = np.convolve(gmass, hmid)[:M]
     out = np.empty(M + 1)
     out[0] = 0.0
-    out[1:] = conv
+    out[1:] = np.convolve(gmass, hmid)[:M]
     return TimeSeries(tau, out)
 
 
@@ -194,14 +186,11 @@ def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSer
     return TimeSeries(mesh.tau, vals)
 
 
-def convolve(k: TimeSeries, u: TimeSeries, k0_cell: float | None = None) -> TimeSeries:
+def convolve(k: TimeSeries, u: TimeSeries) -> TimeSeries:
     """Discrete causal convolution (k*u)(t_n) by the left-rectangle rule.
 
     out[n] = tau * sum_{j=0}^{n-1} k_j * u_{n-j}; the entry at n depends
-    only on samples up to n and the map is linear in u.  When the kernel is
-    singular at t = 0, pass ``k0_cell`` = the exact integral of k over
-    [0, tau]; it replaces the tau*k_0 weight of the j = 0 term (k_0 itself
-    is then never touched, so it may be an inf placeholder).
+    only on samples up to n and the map is linear in u.
     """
     if len(k) != len(u):
         raise ValueError(f"length mismatch: kernel {len(k)} vs signal {len(u)}")
@@ -212,14 +201,7 @@ def convolve(k: TimeSeries, u: TimeSeries, k0_cell: float | None = None) -> Time
     out = np.zeros(M + 1)
     if M == 0:
         return TimeSeries(tau, out)
-    kv = k.values[:M]
-    uv = u.values[1 : M + 1]
-    if k0_cell is None:
-        out[1:] = tau * np.convolve(kv, uv)[:M]
-    else:
-        kv = kv.copy()
-        kv[0] = 0.0
-        out[1:] = tau * np.convolve(kv, uv)[:M] + k0_cell * uv
+    out[1:] = tau * np.convolve(k.values[:M], u.values[1 : M + 1])[:M]
     return TimeSeries(tau, out)
 
 
@@ -247,8 +229,12 @@ def _ml_series(alpha: float, z: float) -> float:
     )
 
 
-def _ml_asymptotic(alpha: float, z: float) -> float:
-    """Asymptotic expansion -sum_{k>=1} z^(-k)/Gamma(1-alpha k) for z << 0."""
+def _ml_asymptotic(alpha: float, z: float) -> tuple[float, float]:
+    """Asymptotic expansion -sum_{k>=1} z^(-k)/Gamma(1-alpha k) for z << 0.
+
+    Returns the optimally truncated sum and the magnitude of its smallest
+    nonzero term, which estimates the truncation error.
+    """
     total = 0.0
     best = math.inf
     zk = 1.0
@@ -260,7 +246,7 @@ def _ml_asymptotic(alpha: float, z: float) -> float:
         total += term
         if term != 0.0:
             best = abs(term)
-    return total
+    return total, best
 
 
 def _ml_spectral(alpha: float, x: float) -> float:
@@ -289,8 +275,10 @@ def mittag_leffler(alpha: float, z: float) -> float:
 
     Regimes: the power series sum z^k / Gamma(alpha*k + 1) with term-ratio
     stopping (|term| < 1e-15 * |sum|) wherever it is numerically sound; the
-    asymptotic expansion -sum_{k>=1} z^(-k)/Gamma(1-alpha*k) for z < -10;
-    and the spectral integral on the middle band, where the alternating
+    asymptotic expansion -sum_{k>=1} z^(-k)/Gamma(1-alpha*k) for z < -10
+    wherever its smallest term is below 1e-15 of the sum (near alpha = 1
+    the expansion stalls just past z = -10); and the spectral integral
+    everywhere else, in particular on the middle band, where the alternating
     series loses all double-precision digits (the largest series term is
     roughly exp(|z|^(1/alpha)), e.g. beyond 1e19 for alpha = 0.5 at z = -7
     while the sum is O(0.1)).  The series is therefore trusted only for
@@ -305,5 +293,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     if z >= -min(2.0, 4.6**alpha):
         return _ml_series(alpha, z)
     if z < -10.0:
-        return _ml_asymptotic(alpha, z)
+        total, smallest = _ml_asymptotic(alpha, z)
+        if smallest <= 1e-15 * abs(total):
+            return total
     return _ml_spectral(alpha, -z)

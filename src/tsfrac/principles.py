@@ -233,35 +233,33 @@ class TrialConfig:
             raise ValueError(f"unknown trial kind {self.kind!r}")
 
 
+def _clip(vals: np.ndarray, clip: str) -> np.ndarray:
+    if clip == "nonneg":
+        return np.maximum(vals, 0.0)
+    if clip == "nonpos":
+        return np.minimum(vals, 0.0)
+    return vals
+
+
 def _random_bump(rng, x: np.ndarray, a: float, b: float, modes: int, clip: str) -> np.ndarray:
     """Clipped random Fourier bump on the grid nodes."""
     coeffs = rng.uniform(-1.0, 1.0, modes)
     s = (x - a) / (b - a)
-    out = sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
-    if clip == "nonneg":
-        return np.maximum(out, 0.0)
-    if clip == "nonpos":
-        return np.minimum(out, 0.0)
-    return out
+    return _clip(sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs)), clip)
 
 
 def _random_forcing(rng, grid: SpaceGrid, modes: int, clip: str):
-    """Separable random forcing (x, t) -> bump(x) * envelope(t), sign-clipped."""
-    coeffs = rng.uniform(-1.0, 1.0, modes)
+    """Separable random forcing (x, t) -> bump(x) * envelope(t), sign-clipped.
+
+    The bump is evaluated once on the grid nodes, which is where the solver
+    samples the forcing.
+    """
+    bump = _random_bump(rng, grid.nodes(), grid.a, grid.b, modes, "none")
     omega = rng.uniform(0.0, 4.0)
     phase = rng.uniform(0.0, 2 * np.pi)
-    a, b = grid.a, grid.b
 
     def f(x, t):
-        s = (x - a) / (b - a)
-        bump = sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
-        env = np.cos(omega * t + phase)
-        vals = bump * env
-        if clip == "nonneg":
-            return np.maximum(vals, 0.0)
-        if clip == "nonpos":
-            return np.minimum(vals, 0.0)
-        return vals
+        return _clip(bump * np.cos(omega * t + phase), clip)
 
     return f
 

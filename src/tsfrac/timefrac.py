@@ -1,10 +1,10 @@
 """Discrete time-fractional derivatives and their sign/convexity structure.
 
-Two classical discretizations of the regularized fractional derivative
-d^alpha/dt^alpha (u - u(0)) are provided: the L1 scheme (piecewise-linear
-convolution quadrature, positive decreasing weights, order 2-alpha) and
-the Grunwald-Letnikov scheme (binomial weights, first order).  On top of
-them sit three verification tools:
+The regularized fractional derivative d^alpha/dt^alpha (u - u(0)) is
+discretized by the L1 scheme (piecewise-linear convolution quadrature,
+positive decreasing weights, order 2-alpha).  The Grunwald-Letnikov
+binomial weights are kept as an independent reference for it.  On top of
+the L1 derivative sit three verification tools:
 
 * a residual evaluator for the convolution-derivative product identity
   H'(u) d/dt(k*u) = d/dt(k*H(u)) + (H'(u)u - H(u)) k
@@ -18,7 +18,7 @@ them sit three verification tools:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,12 +27,11 @@ from scipy import special
 from .kernels import TimeSeries, convolve
 
 __all__ = [
-    "CaputoScheme",
     "ConvexProbe",
     "ConvexVerdicts",
     "gl_weights",
     "l1_weights",
-    "caputo_apply",
+    "caputo_l1",
     "fundamental_identity_residual",
     "convex_inequality_check",
     "rl_extremum_sign",
@@ -58,6 +57,8 @@ def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
 
     Strictly positive and strictly decreasing in j (concavity of j^(1-alpha)).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not tau > 0:
@@ -66,57 +67,17 @@ def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
     return tau ** (-alpha) * ((j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)) / special.gamma(2.0 - alpha)
 
 
-@dataclass(frozen=True)
-class CaputoScheme:
-    """A discrete fractional-derivative rule: order, step, kind, weight table."""
+def caputo_l1(u: TimeSeries, alpha: float, n: int) -> float:
+    """L1-discrete d^alpha/dt^alpha (u - u_0) at t_n.
 
-    alpha: float
-    tau: float
-    kind: str  # "l1" or "gl"
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.kind not in ("l1", "gl"):
-            raise ValueError(f"kind must be 'l1' or 'gl', got {self.kind!r}")
-
-    @classmethod
-    def build(cls, alpha: float, tau: float, kind: str, nmax: int) -> "CaputoScheme":
-        """Precompute weights 0..nmax for the requested kind."""
-        if kind == "l1":
-            w = l1_weights(alpha, tau, nmax)
-        elif kind == "gl":
-            w = gl_weights(alpha, nmax)
-        else:
-            raise ValueError(f"kind must be 'l1' or 'gl', got {kind!r}")
-        return cls(alpha, tau, kind, w)
-
-
-def caputo_apply(u: TimeSeries, scheme: CaputoScheme, n: int) -> float:
-    """Discrete d^alpha/dt^alpha (u - u_0) at t_n.
-
-    L1 kind: sum_{j=0}^{n-1} b_j (u_{n-j} - u_{n-j-1}); GL kind:
-    tau^(-alpha) sum_{j=0}^{n} w_j (u_{n-j} - u_0).  Exactly zero for
-    constant u; n = 0 returns 0 by convention (empty sum).
+    sum_{j=0}^{n-1} b_j (u_{n-j} - u_{n-j-1}) with the L1 weights b_j.
+    Exactly zero for constant u; n = 0 returns 0 by convention (empty sum).
     """
     if not 0 <= n <= len(u) - 1:
         raise ValueError(f"index n={n} outside series of length {len(u)}")
-    if abs(scheme.tau - u.tau) > 1e-14 * max(scheme.tau, u.tau):
-        raise ValueError(f"scheme step {scheme.tau} does not match series step {u.tau}")
-    if n == 0:
-        return 0.0
+    b = l1_weights(alpha, u.tau, max(n - 1, 0))[:n]
     v = u.values
-    if scheme.kind == "l1":
-        if len(scheme.weights) < n:
-            raise ValueError(f"scheme weights cover {len(scheme.weights)} lags, need {n}")
-        diffs = v[1 : n + 1] - v[:n]
-        return float(np.dot(scheme.weights[:n], diffs[::-1]))
-    if len(scheme.weights) < n + 1:
-        raise ValueError(f"scheme weights cover {len(scheme.weights)} lags, need {n + 1}")
-    return float(u.tau ** (-scheme.alpha) * np.dot(scheme.weights[: n + 1], v[n::-1] - v[0]))
+    return float(np.dot(b, (v[1 : n + 1] - v[:n])[::-1]))
 
 
 @dataclass(frozen=True)
@@ -266,8 +227,7 @@ def rl_extremum_sign(
         raise ValueError(f"u does not attain its maximum at n0={n0}")
     if mode == "min" and v[n0] > np.min(v):
         raise ValueError(f"u does not attain its minimum at n0={n0}")
-    scheme = CaputoScheme.build(alpha, u.tau, "l1", len(u) - 1)
-    value = caputo_apply(u, scheme, n0)
+    value = caputo_l1(u, alpha, n0)
     if tol is None:
         tol = 1e-10 * u.tau ** (-alpha) * max(1.0, float(np.ptp(v)))
     ok = value >= -tol if mode == "max" else value <= tol

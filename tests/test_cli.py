@@ -89,6 +89,12 @@ class TestSolveCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["alpha"] == 0.5 and len(meta["config_hash"]) == 64
 
+    def test_single_interior_node(self, tmp_path):
+        cfg = write_config(tmp_path, {"n": 1})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "solution.csv").exists()
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path)
         outs = []

@@ -19,3 +19,4 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("tsfrac-demo-*")), "demo left a temp dir behind"

@@ -121,6 +121,21 @@ class TestAssembly:
                 checked += 1
         assert checked > 400
 
+    def test_single_node_grid(self):
+        for beta in (0.1, 0.5, 0.9):
+            A = assemble_1d(SpaceGrid(-1.0, 1.0, 1), beta).entries
+            assert A.shape == (1, 1)
+            assert A[0, 0] > 0.0
+
+    def test_beta_outside_unit_interval_rejected(self):
+        g = SpaceGrid(-1.0, 1.0, 8)
+        u = Field(g, np.ones(8))
+        for bad in (0.0, 1.0, -0.2, 1.3):
+            with pytest.raises(ValueError, match="beta"):
+                assemble_1d(g, bad)
+            with pytest.raises(ValueError, match="beta"):
+                bilinear_a(u, u, bad)
+
     def test_grid_mismatch(self):
         A = assemble_1d(SpaceGrid(-1.0, 1.0, 16), 0.5)
         with pytest.raises(ValueError):

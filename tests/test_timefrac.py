@@ -4,7 +4,8 @@ Closed-form oracles, frozen from 30-digit arithmetic: the derivative of
 t at order 1/2 and t = 1 is 1/Gamma(3/2) = 1.1283791670955126, of t^2 is
 2/Gamma(5/2) = 1.5045055561273501, and of t^2 - 2t it is their difference
 -0.7522527780636750.  The binomial theorem (sum of GL weights at x = 1)
-and the analytic weight ratios serve as the weight-table oracles.
+and the analytic weight ratios serve as the weight-table oracles; the
+Grunwald-Letnikov sum is the independent oracle for the L1 derivative.
 """
 
 import numpy as np
@@ -13,9 +14,8 @@ from scipy.interpolate import CubicSpline
 
 from tsfrac.kernels import TimeMesh, TimeSeries, monotone_regularized_kernel, regularized_kernel
 from tsfrac.timefrac import (
-    CaputoScheme,
     ConvexProbe,
-    caputo_apply,
+    caputo_l1,
     convex_inequality_check,
     fundamental_identity_residual,
     gl_weights,
@@ -28,6 +28,12 @@ D_HALF_T2_AT_1 = 1.5045055561273501  # 2/Gamma(2.5)
 D_HALF_T2M2T_AT_1 = -0.7522527780636750  # 2/Gamma(2.5) - 2/Gamma(1.5)
 
 QUAD_PROBE = ConvexProbe(H=lambda y: 0.5 * y**2, dH=lambda y: y)
+
+
+def gl_derivative(u, alpha, n):
+    """Grunwald-Letnikov d^alpha/dt^alpha (u - u_0) at t_n, the first-order oracle."""
+    v = u.values
+    return float(u.tau**-alpha * gl_weights(alpha, n) @ (v[n::-1] - v[0]))
 
 
 class TestGLWeights:
@@ -74,6 +80,11 @@ class TestL1Weights:
                 assert np.all(b > 0.0)
                 assert np.all(np.diff(b) < 0.0)
 
+    def test_alpha_outside_unit_interval_rejected(self):
+        for bad in (0.0, 1.0, -0.2, 1.3):
+            with pytest.raises(ValueError, match="alpha"):
+                l1_weights(bad, 0.1, 4)
+
 
 def _sample(fn, T, M, extra=0):
     tau = T / M
@@ -84,22 +95,19 @@ def _sample(fn, T, M, extra=0):
 class TestCaputoApply:
     def test_constant_is_annihilated(self):
         u = TimeSeries(0.01, np.full(101, 3.7))
-        for kind in ("l1", "gl"):
-            scheme = CaputoScheme.build(0.5, 0.01, kind, 100)
+        for derivative in (caputo_l1, gl_derivative):
             for n in (0, 1, 50, 100):
-                assert caputo_apply(u, scheme, n) == pytest.approx(0.0, abs=1e-10)
+                assert derivative(u, 0.5, n) == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_profile_closed_form(self):
         M = 4096
         u = _sample(lambda t: t, 1.0, M)
-        scheme = CaputoScheme.build(0.5, u.tau, "l1", M)
-        assert caputo_apply(u, scheme, M) == pytest.approx(D_HALF_T_AT_1, abs=1e-3)
+        assert caputo_l1(u, 0.5, M) == pytest.approx(D_HALF_T_AT_1, abs=1e-3)
 
     def test_quadratic_profile_closed_form(self):
         M = 4096
         u = _sample(lambda t: t**2, 1.0, M)
-        scheme = CaputoScheme.build(0.5, u.tau, "l1", M)
-        assert caputo_apply(u, scheme, M) == pytest.approx(D_HALF_T2_AT_1, abs=2e-3)
+        assert caputo_l1(u, 0.5, M) == pytest.approx(D_HALF_T2_AT_1, abs=2e-3)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -108,21 +116,18 @@ class TestCaputoApply:
         u = rng.standard_normal(M + 1)
         v = rng.standard_normal(M + 1)
         a, b = 2.5, -1.2
-        for kind in ("l1", "gl"):
-            scheme = CaputoScheme.build(0.4, tau, kind, M)
-            lhs = caputo_apply(TimeSeries(tau, a * u + b * v), scheme, M)
-            rhs = a * caputo_apply(TimeSeries(tau, u), scheme, M) + b * caputo_apply(
-                TimeSeries(tau, v), scheme, M
+        for derivative in (caputo_l1, gl_derivative):
+            lhs = derivative(TimeSeries(tau, a * u + b * v), 0.4, M)
+            rhs = a * derivative(TimeSeries(tau, u), 0.4, M) + b * derivative(
+                TimeSeries(tau, v), 0.4, M
             )
             assert lhs == pytest.approx(rhs, abs=1e-9 * tau ** (-0.4))
 
     def test_gl_l1_agreement_on_smooth_profile(self):
         M = 4096
         u = _sample(lambda t: t**2, 1.0, M)
-        l1 = CaputoScheme.build(0.5, u.tau, "l1", M)
-        gl = CaputoScheme.build(0.5, u.tau, "gl", M)
         worst = max(
-            abs(caputo_apply(u, l1, n) - caputo_apply(u, gl, n))
+            abs(caputo_l1(u, 0.5, n) - gl_derivative(u, 0.5, n))
             for n in range(64, M + 1, 64)
         )
         assert worst < 5e-3
@@ -131,19 +136,21 @@ class TestCaputoApply:
         errs = []
         for M in (256, 512, 1024, 2048):
             u = _sample(lambda t: t**2, 1.0, M)
-            scheme = CaputoScheme.build(0.5, u.tau, "l1", M)
-            errs.append(abs(caputo_apply(u, scheme, M) - D_HALF_T2_AT_1))
+            errs.append(abs(caputo_l1(u, 0.5, M) - D_HALF_T2_AT_1))
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
         for o in orders:
             assert 2 - 0.5 - 0.2 <= o <= 2 - 0.5 + 0.2
 
     def test_index_and_mesh_errors(self):
         u = TimeSeries(0.1, np.ones(5))
-        scheme = CaputoScheme.build(0.5, 0.1, "l1", 4)
         with pytest.raises(ValueError):
-            caputo_apply(u, scheme, 7)
+            caputo_l1(u, 0.5, 7)
         with pytest.raises(ValueError):
-            caputo_apply(TimeSeries(0.2, np.ones(5)), scheme, 2)
+            caputo_l1(u, 0.5, -1)
+        for bad in (0.0, 1.0):
+            for n in (0, 2):
+                with pytest.raises(ValueError, match="alpha"):
+                    caputo_l1(u, bad, n)
 
 
 class TestFundamentalIdentity:
@@ -279,3 +286,5 @@ class TestExtremumSign:
             rl_extremum_sign(u, 0.5, 3, "max")  # max is at the last index
         with pytest.raises(ValueError):
             rl_extremum_sign(u, 0.5, 16, "middle")
+        with pytest.raises(ValueError, match="alpha"):
+            rl_extremum_sign(u, 1.0, 16, "max")
