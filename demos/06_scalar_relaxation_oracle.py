@@ -11,7 +11,7 @@ import numpy as np
 from tsfrac import Field, FracLapMatrix, FracOrders, ProblemSpec, SpaceGrid, TimeMesh, mittag_leffler, solve
 
 grid = SpaceGrid(-1.0, 1.0, 1)
-lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]), c=1.0)
+lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]))
 
 print(f"{'alpha':>6} {'u(1) stepped':>14} {'E_alpha(-1)':>14} {'rel err':>10}")
 for alpha in (0.3, 0.5, 0.7, 0.9):

@@ -37,7 +37,6 @@ __all__ = [
     "bilinear_a",
     "sign_split",
     "quadrature_reference",
-    "matrix_to_csv",
 ]
 
 
@@ -84,7 +83,6 @@ class FracLapMatrix:
     beta: float
     grid: SpaceGrid
     entries: np.ndarray = field(repr=False)
-    c: float
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=float)
@@ -94,17 +92,15 @@ class FracLapMatrix:
         object.__setattr__(self, "entries", ent)
 
 
-def normalization_constant(N: int, beta: float) -> float:
-    """The kernel constant beta * 2^(2 beta) * Gamma((N+2 beta)/2) / (pi^(N/2) Gamma(1-beta))."""
+def normalization_constant(beta: float) -> float:
+    """The 1-D kernel constant beta * 2^(2 beta) * Gamma(1/2 + beta) / (pi^(1/2) Gamma(1-beta))."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0,1), got {beta}")
-    if N < 1:
-        raise ValueError(f"dimension must be >= 1, got {N}")
     return float(
         beta
         * 2.0 ** (2.0 * beta)
-        * special.gamma((N + 2.0 * beta) / 2.0)
-        / (np.pi ** (N / 2.0) * special.gamma(1.0 - beta))
+        * special.gamma(0.5 + beta)
+        / (np.pi**0.5 * special.gamma(1.0 - beta))
     )
 
 
@@ -141,7 +137,7 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     """
     n = grid.n
     h = grid.h
-    c = normalization_constant(1, beta)
+    c = normalization_constant(beta)
     pk = -1.0 - 2.0 * beta  # kernel exponent
     pr = -2.0 * beta  # r * kernel exponent (log case at beta = 1/2)
     w_near = _near_weight(h, beta)
@@ -182,7 +178,7 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     H0 = 2.0 * (_pow_integral(h / 2.0, h, pk) - _pow_integral(h / 2.0, h, pr) / h)
     kappa = _exterior_tail(grid, beta)
     np.fill_diagonal(A, c * (2.0 * w_near / h**2 + J - H0 + kappa))
-    return FracLapMatrix(beta=beta, grid=grid, entries=A, c=c)
+    return FracLapMatrix(beta=beta, grid=grid, entries=A)
 
 
 def apply(A: FracLapMatrix, u: Field) -> Field:
@@ -207,7 +203,7 @@ def bilinear_a(u: Field, v: Field, beta: float) -> float:
         raise ValueError("fields live on different grids")
     grid = u.grid
     n, h = grid.n, grid.h
-    c = normalization_constant(1, beta)
+    c = normalization_constant(beta)
     dists = h * np.arange(1, n, dtype=float)
     w = np.zeros(n)
     if n > 1:
@@ -241,7 +237,7 @@ def quadrature_reference(profile, x0: float, beta: float, a: float, b: float) ->
     """
     if not a < x0 < b:
         raise ValueError(f"x0={x0} must lie inside ({a}, {b})")
-    c = normalization_constant(1, beta)
+    c = normalization_constant(beta)
     u0 = float(profile(x0))
 
     def uu(y):
@@ -259,11 +255,3 @@ def quadrature_reference(profile, x0: float, beta: float, a: float, b: float) ->
     )
     tail = 2.0 * u0 * rmax ** (-2.0 * beta) / (2.0 * beta)
     return c * (val + tail)
-
-
-def matrix_to_csv(A: FracLapMatrix) -> str:
-    """Row-major CSV dump with a metadata header (beta, n, a, b); for debugging."""
-    lines = [f"# beta={A.beta!r},n={A.grid.n},a={A.grid.a!r},b={A.grid.b!r}"]
-    for row in A.entries:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"

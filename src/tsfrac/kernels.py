@@ -37,11 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Uniform time mesh 0 = t_0 < t_1 < ... < t_M = T.
-
-    M = 0 (no steps) is allowed as a degenerate mesh carrying only t = 0;
-    its step size is undefined.
-    """
+    """Uniform time mesh 0 = t_0 < t_1 < ... < t_M = T with M >= 1 steps."""
 
     T: float
     M: int
@@ -49,18 +45,14 @@ class TimeMesh:
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"time horizon must be positive, got T={self.T}")
-        if self.M < 0:
-            raise ValueError(f"step count must be nonnegative, got M={self.M}")
+        if self.M < 1:
+            raise ValueError(f"need at least one time step, got M={self.M}")
 
     @property
     def tau(self) -> float:
-        if self.M == 0:
-            raise ValueError("step size undefined for a zero-step mesh")
         return self.T / self.M
 
     def times(self) -> np.ndarray:
-        if self.M == 0:
-            return np.zeros(1)
         return np.linspace(0.0, self.T, self.M + 1)
 
 
@@ -81,9 +73,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.values.size)
 
 
 def g_kernel(gamma: float, t):
@@ -144,8 +133,6 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if mesh.M < 1:
-        raise ValueError("regularized kernel needs a mesh with at least one step")
     tau = mesh.tau
     M = mesh.M
     # Per-cell mass of g_{1-alpha}: exact on the singular cell, midpoint after.
@@ -176,8 +163,6 @@ def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSer
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if mesh.M < 1:
-        raise ValueError("regularized kernel needs a mesh with at least one step")
     t = mesh.times()
     vals = np.empty(t.size)
     vals[0] = float(m)

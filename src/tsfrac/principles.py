@@ -20,7 +20,6 @@ single seed.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "check_nonnegativity",
     "check_parabolic_boundary",
     "run_trials",
-    "report_to_json",
 ]
 
 
@@ -69,11 +67,6 @@ def classify(grid: SpaceGrid, mesh: TimeMesh, i: int, n: int) -> BoundaryClass:
     if n == mesh.M:
         return BoundaryClass.TERMINAL
     return BoundaryClass.INTERIOR
-
-
-def in_parabolic_boundary(grid: SpaceGrid, mesh: TimeMesh, i: int, n: int) -> bool:
-    """Membership in the parabolic boundary = initial slice plus lateral layer."""
-    return classify(grid, mesh, i, n) in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
 
 
 @dataclass
@@ -126,36 +119,37 @@ def _hypotheses_report(kind: str, detail: str) -> PrincipleReport:
     )
 
 
-def _extended_argmin(sol: Solution) -> tuple[float, tuple[int, int]]:
+def _extended_argmin(states: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Global minimum over the closed cylinder, ghost columns included.
 
     Returns the value and its (i, n) location on the extended grid, taking
     the first attainment in time-major order so that ties involving the
-    initial slice resolve to it.
+    initial slice resolve to it.  The ghost node (0, 0) holds 0 and comes
+    first, so it wins unless some state is negative (or nan, which is
+    reported where it sits).
     """
-    M, nx = sol.states.shape[0] - 1, sol.states.shape[1]
-    ext = np.zeros((M + 1, nx + 2))
-    ext[:, 1:-1] = sol.states
-    flat = int(np.argmin(ext))
-    n, i = divmod(flat, nx + 2)
-    return float(ext[n, i]), (i, n)
+    flat = int(np.argmin(states))
+    n, j = divmod(flat, states.shape[1])
+    vmin = float(states[n, j])
+    if not vmin >= 0.0:
+        return vmin, (j + 1, n)
+    return 0.0, (0, 0)
 
 
-def check_nonnegativity(sol: Solution, tol: float | None = None) -> PrincipleReport:
+def check_nonnegativity(sol: Solution) -> PrincipleReport:
     """Nonnegativity check: u0 >= 0 and f >= 0 imply min u >= -tol.
 
     The discrete scheme is monotone, so the statement holds to roundoff,
-    which is stronger than the continuum theorem; the default tolerance is
-    1e-12 times the data scale.
+    which is stronger than the continuum theorem; tol is 1e-12 times the
+    data scale.
     """
     kind = "nonneg"
     if np.any(sol.states[0] < 0.0):
         return _hypotheses_report(kind, "u0 takes negative values")
     if np.any(sol.forcing < 0.0):
         return _hypotheses_report(kind, "forcing takes negative values")
-    if tol is None:
-        tol = 1e-12 * _data_scale(sol)
-    vmin, loc = _extended_argmin(sol)
+    tol = 1e-12 * _data_scale(sol)
+    vmin, loc = _extended_argmin(sol.states)
     cls = classify(sol.problem.grid, sol.problem.mesh, *loc)
     return PrincipleReport(
         kind=kind,
@@ -167,7 +161,7 @@ def check_nonnegativity(sol: Solution, tol: float | None = None) -> PrincipleRep
     )
 
 
-def check_parabolic_boundary(sol: Solution, sign: str, tol: float | None = None) -> PrincipleReport:
+def check_parabolic_boundary(sol: Solution, sign: str) -> PrincipleReport:
     """Extremum-location check: the global extremum sits on the parabolic boundary.
 
     For sign="min" the hypothesis is f >= 0 (the discrete solution is then
@@ -183,24 +177,17 @@ def check_parabolic_boundary(sol: Solution, sign: str, tol: float | None = None)
         return _hypotheses_report(kind, "forcing takes negative values")
     if sign == "max" and np.any(sol.forcing > 0.0):
         return _hypotheses_report(kind, "forcing takes positive values")
-    if sign == "min":
-        vext, loc = _extended_argmin(sol)
-    else:
-        flipped = Solution(problem=sol.problem, states=-sol.states, forcing=-sol.forcing)
-        vext, loc = _extended_argmin(flipped)
-        vext = -vext
+    # A maximum of u is a minimum of -u.
+    states = sol.states if sign == "min" else -sol.states
+    vmin, loc = _extended_argmin(states)
+    vext = vmin if sign == "min" else -vmin
     cls = classify(sol.problem.grid, sol.problem.mesh, *loc)
     ok = cls in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
-    if tol is None:
-        tol = 1e-12 * _data_scale(sol)
-    # Degenerate near-ties: an interior attainment within tol of the
-    # parabolic-boundary extremum is not a violation.
+    # Degenerate near-ties: an interior attainment within 1e-12 of the data
+    # scale of the parabolic-boundary extremum is not a violation.
     if not ok:
-        ext = np.zeros((sol.problem.mesh.M + 1, sol.problem.grid.n + 2))
-        ext[:, 1:-1] = sol.states if sign == "min" else -sol.states
-        pb_best = min(float(np.min(ext[0])), 0.0)  # initial slice and lateral zeros
-        gap = abs((vext if sign == "min" else -vext) - pb_best)
-        ok = gap <= tol
+        pb_best = min(float(np.min(states[0])), 0.0)  # initial slice and lateral zeros
+        ok = abs(vmin - pb_best) <= 1e-12 * _data_scale(sol)
     return PrincipleReport(
         kind=kind,
         status="pass" if ok else "fail",
@@ -209,6 +196,9 @@ def check_parabolic_boundary(sol: Solution, sign: str, tol: float | None = None)
         location_class=cls,
         violation=0.0 if ok else abs(vext),
     )
+
+
+_MODES = 5  # Fourier modes in each random bump
 
 
 @dataclass(frozen=True)
@@ -222,7 +212,6 @@ class TrialConfig:
     betas: tuple
     grid: SpaceGrid
     mesh: TimeMesh
-    modes: int = 5
 
     def __post_init__(self):
         if self.trials < 1:
@@ -287,20 +276,20 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
         A = matrices[beta]
 
         if config.kind == "nonneg":
-            u0 = _random_bump(rng, x, grid.a, grid.b, config.modes, "nonneg")
-            f = _random_forcing(rng, grid, config.modes, "nonneg")
+            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "nonneg")
+            f = _random_forcing(rng, grid, _MODES, "nonneg")
         elif config.kind == "boundary-min":
-            u0 = _random_bump(rng, x, grid.a, grid.b, config.modes, "none")
-            f = _random_forcing(rng, grid, config.modes, "nonneg")
+            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "none")
+            f = _random_forcing(rng, grid, _MODES, "nonneg")
         elif config.kind == "boundary-max":
-            u0 = _random_bump(rng, x, grid.a, grid.b, config.modes, "none")
-            f = _random_forcing(rng, grid, config.modes, "nonpos")
+            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "none")
+            f = _random_forcing(rng, grid, _MODES, "nonpos")
         else:
             # weak-nonneg: manufacture a supersolution of the slack-free
             # problem by adding a strictly positive forcing slack; the
             # conclusion (nonnegativity) is then checked exactly.
-            u0 = _random_bump(rng, x, grid.a, grid.b, config.modes, "nonneg")
-            base = _random_forcing(rng, grid, config.modes, "nonneg")
+            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "nonneg")
+            base = _random_forcing(rng, grid, _MODES, "nonneg")
             slack = float(rng.uniform(0.5, 1.5))
             f = lambda xs, t, base=base, slack=slack: base(xs, t) + slack
 
@@ -309,7 +298,6 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
 
         if config.kind in ("nonneg", "weak-nonneg"):
             report = check_nonnegativity(sol)
-            report.kind = config.kind
         else:
             report = check_parabolic_boundary(sol, config.kind.split("-")[1])
 
@@ -324,7 +312,3 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     worst.lattice = lattice
     worst.kind = config.kind
     return worst
-
-
-def report_to_json(report: PrincipleReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

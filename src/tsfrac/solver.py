@@ -99,9 +99,6 @@ class Solution:
             raise ValueError(f"states shape {st.shape}, expected {(M + 1, n)}")
         object.__setattr__(self, "states", st)
 
-    def state(self, n: int) -> Field:
-        return Field(self.problem.grid, self.states[n])
-
 
 def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
     """Assemble (once) and run all M L1-implicit steps; deterministic for fixed inputs.
@@ -114,13 +111,13 @@ def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
         A = assemble_1d(problem.grid, problem.orders.beta)
     elif A.grid != problem.grid:
         raise ValueError("matrix assembled on a different grid")
+    elif A.beta != problem.orders.beta:
+        raise ValueError(f"matrix assembled for beta={A.beta}, not {problem.orders.beta}")
     M = problem.mesh.M
     nx = problem.grid.n
     fsamp = problem.forcing_samples()
     states = np.empty((M + 1, nx))
     states[0] = problem.u0.values
-    if M == 0:
-        return Solution(problem=problem, states=states, forcing=fsamp)
     b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
     w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j > 0, j = 1..M
     cho = linalg.cho_factor(b[0] * np.eye(nx) + A.entries)

@@ -146,7 +146,6 @@ class ConvexVerdicts:
     plus_part: np.ndarray
     plus_part_negated: np.ndarray
     minus_part: np.ndarray
-    tol: float
 
     def all_ok(self) -> bool:
         return bool(
@@ -154,15 +153,15 @@ class ConvexVerdicts:
         )
 
 
-def convex_inequality_check(u: TimeSeries, k: TimeSeries, tol: float | None = None) -> ConvexVerdicts:
+def convex_inequality_check(u: TimeSeries, k: TimeSeries) -> ConvexVerdicts:
     """Check the convex-part inequalities of the fractional calculus at every index.
 
     The difference quotient D at index n spans the last completed cell
     [t_{n-1}, t_n] and is paired with the parts of u at its right endpoint
     t_n; in that pairing the inequalities hold in exact arithmetic for any
     kernel whose samples are nonnegative and nonincreasing (Abel summation
-    plus convexity of the squared positive part), so the default tolerance
-    only absorbs roundoff: tol = 1e-10 * max(1, ||u||_inf^2 * ||k||_L1).
+    plus convexity of the squared positive part), so the tolerance only
+    absorbs roundoff: tol = 1e-10 * max(1, ||u||_inf^2 * ||k||_L1).
 
     The kernel samples are required to be nonnegative and nonincreasing;
     for a hump-shaped kernel (e.g. the mollified power-law family) the
@@ -180,9 +179,8 @@ def convex_inequality_check(u: TimeSeries, k: TimeSeries, tol: float | None = No
     v = u.values
     up = np.maximum(v, 0.0)
     um = np.maximum(-v, 0.0)
-    if tol is None:
-        knorm = tau * float(np.sum(np.abs(k.values)))
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(v))) ** 2 * knorm)
+    knorm = tau * float(np.sum(np.abs(k.values)))
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(v))) ** 2 * knorm)
 
     def ts(vals):
         return TimeSeries(tau, vals)
@@ -202,7 +200,6 @@ def convex_inequality_check(u: TimeSeries, k: TimeSeries, tol: float | None = No
         plus_part=np.concatenate([pad, s_plus >= -tol]),
         plus_part_negated=np.concatenate([pad, s_plus_neg >= -tol]),
         minus_part=np.concatenate([pad, s_minus >= -tol]),
-        tol=tol,
     )
 
 

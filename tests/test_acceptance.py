@@ -86,7 +86,7 @@ def test_criterion_02_parabolic_boundary_argmin():
 def test_criterion_03_scalar_relaxation_vs_mittag_leffler():
     t0 = time.time()
     grid = SpaceGrid(-1.0, 1.0, 1)
-    lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]), c=1.0)
+    lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]))
     worst = 0.0
     for alpha in LATTICE:
         problem = ProblemSpec(

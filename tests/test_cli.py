@@ -125,10 +125,19 @@ class TestVerifyCommand:
             blobs.append((out / "verify_report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_sign_violating_profile_is_usage_error(self, tmp_path):
-        # nonneg suite demands u0 >= 0; configured profile dips negative
-        cfg = write_config(tmp_path, {"u0": "x"})
-        assert main(["verify", "--config", str(cfg), "--suite", "nonneg", "--out", str(tmp_path)]) == 2
+    def test_sign_violating_profile_is_usage_error(self, tmp_path, capsys):
+        # nonneg demands u0 >= 0 and f >= 0, boundary (min) demands f >= 0;
+        # each configured profile below dips negative where its suite looks
+        cases = (
+            ("nonneg", {"u0": "x"}, "demands u0 >= 0 and f >= 0"),
+            ("nonneg", {"f": "x"}, "demands u0 >= 0 and f >= 0"),
+            ("boundary", {"f": "x"}, "(min) check demands f >= 0"),
+        )
+        for i, (suite, updates, message) in enumerate(cases):
+            cfg = write_config(tmp_path, updates, name=f"c{i}.json")
+            argv = ["verify", "--config", str(cfg), "--suite", suite, "--out", str(tmp_path)]
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestKernelTableCommand:
@@ -178,6 +187,15 @@ class TestExitCodes:
         assert main(["solve", "--config", str(tmp_path)]) == 2  # a directory, not a file
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    def test_memory_error_exit_three(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("tsfrac.solver.solve", exhausted)
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "internal numeric error: out of memory\n"
 
     def test_bad_usage_exit_two(self, tmp_path):
         assert main(["verify", "--config", "x", "--suite", "bogus"]) == 2

@@ -30,7 +30,7 @@ ZERO_F = lambda x, t: np.zeros_like(x)
 
 def scalar_problem(alpha, M, u0=1.0, T=1.0):
     grid = SpaceGrid(-1.0, 1.0, 1)
-    lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]), c=1.0)
+    lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]))
     problem = ProblemSpec(
         FracOrders(alpha, 0.5), grid, TimeMesh(T, M), Field(grid, np.array([u0])), ZERO_F
     )
@@ -50,15 +50,6 @@ class TestStepAndSolve:
         problem = bump_problem(u0_fn=lambda x: np.zeros_like(x))
         sol = solve(problem)
         assert np.all(sol.states == 0.0)
-
-    def test_empty_mesh_returns_initial_state(self):
-        grid = SpaceGrid(-1.0, 1.0, 8)
-        problem = ProblemSpec(
-            FracOrders(0.5, 0.5), grid, TimeMesh(1.0, 0), Field(grid, np.ones(8)), ZERO_F
-        )
-        sol = solve(problem)
-        assert sol.states.shape == (1, 8)
-        np.testing.assert_array_equal(sol.states[0], np.ones(8))
 
     def test_states_satisfy_l1_equation(self):
         # (b_0 I + A) u^k = sum_{j=1}^{k-1} (b_{j-1} - b_j) u^{k-j} + b_{k-1} u^0 + f^k
@@ -179,6 +170,11 @@ class TestStepAndSolve:
         other = assemble_1d(SpaceGrid(0.0, 1.0, 32), 0.5)
         with pytest.raises(ValueError):
             solve(problem, A=other)
+
+    def test_matrix_for_other_beta_rejected(self):
+        problem = bump_problem(beta=0.5)
+        with pytest.raises(ValueError, match="beta"):
+            solve(problem, A=assemble_1d(problem.grid, 0.3))
 
 
 class TestMollifiedTestFunction:
