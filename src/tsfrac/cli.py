@@ -46,6 +46,10 @@ _OPTIONAL = {
     "m_ladder": str,
 }
 _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256"}
+# Most bytes a config's solve may be estimated to need, checked before
+# anything is allocated: dense A, the identity and the Cholesky factor
+# (n x n each), plus the states and the sampled forcing ((M+1) x n each).
+_MEMORY_BUDGET = 2 * 2**30
 
 
 class ConfigError(ValueError):
@@ -151,6 +155,15 @@ def load_config(path: str | Path) -> RunConfig:
         errors.append(f"key 'T': must be positive, got {vals['T']}")
     if have("M") and vals["M"] < 1:
         errors.append(f"key 'M': need at least one time step, got {vals['M']}")
+    if have("n", "M") and vals["n"] >= 1 and vals["M"] >= 1:
+        n, M = vals["n"], vals["M"]
+        matrices, arrays = 3 * 8 * n * n, 2 * 8 * (M + 1) * n
+        if matrices + arrays > _MEMORY_BUDGET:
+            key = "n" if matrices >= arrays else "M"
+            errors.append(
+                f"key {key!r}: n={n} and M={M} need about {(matrices + arrays) / 2**30:.1f} GiB, "
+                f"over the {_MEMORY_BUDGET // 2**30} GiB budget"
+            )
     if have("m") and vals["m"] < 1:
         errors.append(f"key 'm': must be a positive integer, got {vals['m']}")
     if have("trials") and vals["trials"] < 1:

@@ -197,6 +197,23 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "internal numeric error: out of memory\n"
 
+    def test_memory_preflight_exit_two(self, tmp_path, monkeypatch, capsys):
+        # Decided from the estimate alone: nothing of the size is allocated.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve called past the memory preflight")
+
+        monkeypatch.setattr("tsfrac.solver.solve", unreachable)
+        cfg = write_config(tmp_path, {"n": 200000})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[1].strip().startswith("key 'n': n=200000 and M=12")
+        assert "GiB budget" in err[1]
+        cfg = write_config(tmp_path, {"M": 2**24})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[1].strip().startswith("key 'M': ")
+        # the README config is far inside the budget
+        assert load_config(write_config(tmp_path, {"n": 128, "M": 256})).n == 128
+
     def test_bad_usage_exit_two(self, tmp_path):
         assert main(["verify", "--config", "x", "--suite", "bogus"]) == 2
         assert main(["frobnicate"]) == 2

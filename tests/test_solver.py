@@ -9,9 +9,11 @@ properties of the L1 + M-matrix scheme and are tested at roundoff scale.
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from tsfrac.fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d
 from tsfrac.kernels import TimeMesh, mittag_leffler
+from tsfrac.principles import check_nonnegativity
 from tsfrac.solver import (
     FracOrders,
     ProblemSpec,
@@ -175,6 +177,75 @@ class TestStepAndSolve:
         problem = bump_problem(beta=0.5)
         with pytest.raises(ValueError, match="beta"):
             solve(problem, A=assemble_1d(problem.grid, 0.3))
+
+
+def l1_reference(problem, A):
+    """Step-by-step L1 stepping, one history GEMV per step: the oracle for
+    the blocked history sum of ``solve``."""
+    M, nx = problem.mesh.M, problem.grid.n
+    f = problem.forcing_samples()
+    b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
+    w = b[:-1] - b[1:]
+    cho = linalg.cho_factor(b[0] * np.eye(nx) + A.entries)
+    u = np.empty((M + 1, nx))
+    u[0] = problem.u0.values
+    for n in range(1, M + 1):
+        rhs = b[n - 1] * u[0] + f[n]
+        if n > 1:
+            rhs = rhs + w[: n - 1] @ u[n - 1 : 0 : -1]
+        u[n] = linalg.cho_solve(cho, rhs)
+    return u
+
+
+def l1_residual(sol, A, k):
+    """Max-norm of (b_0 I + A) u^k - rhs^k, from the L1 weights alone."""
+    u = sol.states
+    b = l1_weights(sol.problem.orders.alpha, sol.problem.mesh.tau, sol.problem.mesh.M)
+    rhs = b[k - 1] * u[0] + sol.forcing[k] + (b[: k - 1] - b[1:k]) @ u[k - 1 : 0 : -1]
+    return np.max(np.abs(b[0] * u[k] + A.entries @ u[k] - rhs))
+
+
+class TestBlockedHistorySum:
+    """``solve`` sums the history in blocks of 256 steps; only the order of
+    summation differs from the per-step sum, and the first block not at all."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    @pytest.mark.parametrize("M", [255, 256, 257, 300, 512, 513, 1000])
+    def test_matches_per_step_oracle(self, M, alpha):
+        rng = np.random.default_rng(1000 * M + int(10 * alpha))
+        grid = SpaceGrid(-1.0, 1.0, 16)
+        mesh = TimeMesh(1.0, M)
+        F = rng.uniform(0.0, 1.0, (M + 1, 16))
+        problem = ProblemSpec(
+            FracOrders(alpha, 0.6), grid, mesh, Field(grid, rng.uniform(0.0, 1.0, 16)),
+            lambda x, t: F[int(round(t / mesh.tau))],
+        )
+        A = assemble_1d(grid, 0.6)
+        got = solve(problem, A=A).states
+        ref = l1_reference(problem, A)
+        assert np.array_equal(got[:257], ref[:257])
+        if M <= 256:
+            assert np.array_equal(got, ref)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        assert got.min() >= 0.0
+
+    def test_residual_across_block_boundaries(self):
+        problem = bump_problem(alpha=0.7, n=24, M=600, f_fn=lambda x, t: (1.0 - x**2) * (1.0 + t))
+        A = assemble_1d(problem.grid, problem.orders.beta)
+        sol = solve(problem, A=A)
+        for k in (1, 255, 256, 257, 511, 512, 513, 600):
+            assert l1_residual(sol, A, k) <= 1e-12, k
+
+    def test_long_horizon_positivity(self):
+        # Compact u0, f = 0, 8192 steps: the last state sums 8191 history
+        # terms, most of them through the blocked products, and must still be
+        # exactly nonnegative with no clamp anywhere.
+        problem = bump_problem(n=32, M=8192, u0_fn=lambda x: np.maximum(0.0, 1.0 - 16.0 * x**2))
+        A = assemble_1d(problem.grid, problem.orders.beta)
+        sol = solve(problem, A=A)
+        assert check_nonnegativity(sol).violation == 0.0
+        assert sol.states.min() >= 0.0
+        assert l1_residual(sol, A, 8192) <= 1e-12
 
 
 class TestMollifiedTestFunction:
