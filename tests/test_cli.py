@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tsfrac.cli import ConfigError, load_config, main
@@ -196,6 +197,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "internal numeric error: out of memory\n"
+
+    def test_overflow_exit_three(self, tmp_path, capsys):
+        # finite forcing whose states overflow: a numeric error, not a config one
+        cfg = write_config(tmp_path, {"f": "1.7e308"})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("internal numeric error: states overflow")
 
     def test_memory_preflight_exit_two(self, tmp_path, monkeypatch, capsys):
         # Decided from the estimate alone: nothing of the size is allocated.

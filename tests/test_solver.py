@@ -10,6 +10,7 @@ properties of the L1 + M-matrix scheme and are tested at roundoff scale.
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.linalg import blas, lapack
 
 from tsfrac.fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d
 from tsfrac.kernels import TimeMesh, mittag_leffler
@@ -187,6 +188,25 @@ def l1_reference(problem, A):
     b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
     w = b[:-1] - b[1:]
     cho = linalg.cho_factor(b[0] * np.eye(nx) + A.entries)
+    G, _ = lapack.dpotri(*cho)
+    u = np.empty((M + 1, nx))
+    u[0] = problem.u0.values
+    for n in range(1, M + 1):
+        rhs = b[n - 1] * u[0] + f[n]
+        if n > 1:
+            rhs = rhs + w[: n - 1] @ u[n - 1 : 0 : -1]
+        u[n] = blas.dsymv(1.0, G, rhs, lower=cho[1])
+    return u
+
+
+def cho_solve_reference(problem, A):
+    """Step-by-step L1 stepping with two triangular solves per step: the
+    oracle for the inverse-times-vector step of ``solve``."""
+    M, nx = problem.mesh.M, problem.grid.n
+    f = problem.forcing_samples()
+    b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
+    w = b[:-1] - b[1:]
+    cho = linalg.cho_factor(b[0] * np.eye(nx) + A.entries)
     u = np.empty((M + 1, nx))
     u[0] = problem.u0.values
     for n in range(1, M + 1):
@@ -195,6 +215,18 @@ def l1_reference(problem, A):
             rhs = rhs + w[: n - 1] @ u[n - 1 : 0 : -1]
         u[n] = linalg.cho_solve(cho, rhs)
     return u
+
+
+def random_problem(n, M, alpha, beta, seed):
+    """Uniform [0, 1) initial data and forcing, sampled from a fixed table."""
+    rng = np.random.default_rng(seed)
+    grid = SpaceGrid(-1.0, 1.0, n)
+    mesh = TimeMesh(1.0, M)
+    F = rng.uniform(0.0, 1.0, (M + 1, n))
+    return ProblemSpec(
+        FracOrders(alpha, beta), grid, mesh, Field(grid, rng.uniform(0.0, 1.0, n)),
+        lambda x, t: F[int(round(t / mesh.tau))],
+    )
 
 
 def l1_residual(sol, A, k):
@@ -246,6 +278,61 @@ class TestBlockedHistorySum:
         assert check_nonnegativity(sol).violation == 0.0
         assert sol.states.min() >= 0.0
         assert l1_residual(sol, A, 8192) <= 1e-12
+
+
+class TestInverseStep:
+    """Each step of ``solve`` multiplies by one triangle of (b_0 I + A)^{-1}
+    instead of doing two triangular solves with its Cholesky factor."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    @pytest.mark.parametrize("M", [1, 16, 256, 600])
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_matches_cho_solve_oracle(self, n, M, alpha):
+        problem = random_problem(n, M, alpha, 0.6, seed=10 * n + M + int(10 * alpha))
+        A = assemble_1d(problem.grid, 0.6)
+        got = solve(problem, A=A).states
+        np.testing.assert_allclose(got, cho_solve_reference(problem, A), rtol=1e-13, atol=0.0)
+        assert got.min() >= 0.0
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    def test_sign_premise_of_exact_positivity(self, n, beta):
+        # Positivity is exact because the upper Cholesky factor of the
+        # M-matrix has nonpositive off-diagonal entries after rounding, so
+        # the inverse LAPACK forms from it has no negative entry, and no -0.0.
+        A = assemble_1d(SpaceGrid(-1.0, 1.0, n), beta).entries
+        upper = np.triu_indices(n)
+        for alpha in (0.05, 0.5, 0.99):
+            for M in (1, 256, 65536):
+                b0 = l1_weights(alpha, 1.0 / M, 0)[0]
+                U = linalg.cholesky(b0 * np.eye(n) + A)
+                assert np.all(np.triu(U, 1) <= 0.0), (alpha, M)
+                G, info = lapack.dpotri(U)
+                assert info == 0
+                assert not np.any(G[upper] < 0.0), (alpha, M)
+                assert not np.any(np.signbit(G[upper])), (alpha, M)
+
+
+class TestNonFiniteData:
+    """The step checks no finiteness itself: ``solve`` checks its data once
+    before factoring and its states once after the last step."""
+
+    def test_nan_in_one_forcing_row(self):
+        f = lambda x, t: np.where((x == x[4]) & (t == 0.5), np.nan, 1.0)
+        problem = bump_problem(n=16, M=16, f_fn=f)
+        with pytest.raises(ValueError, match=r"forcing sample is nan at \(x=.*, t=0\.5\)"):
+            solve(problem)
+
+    def test_inf_in_u0(self):
+        problem = bump_problem(n=16, M=8, u0_fn=lambda x: np.where(x == x[3], np.inf, 1.0))
+        with pytest.raises(ValueError, match="u0 is inf"):
+            solve(problem)
+
+    def test_overflow(self):
+        problem = bump_problem(n=16, M=12, f_fn=lambda x, t: np.full_like(x, 1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="states overflow"):
+                solve(problem)
 
 
 class TestMollifiedTestFunction:
