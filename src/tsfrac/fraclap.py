@@ -27,6 +27,8 @@ import numpy as np
 from scipy import integrate, special
 from scipy.linalg import toeplitz
 
+from .kernels import check_order
+
 __all__ = [
     "SpaceGrid",
     "Field",
@@ -94,8 +96,7 @@ class FracLapMatrix:
 
 def normalization_constant(beta: float) -> float:
     """The 1-D kernel constant beta * 2^(2 beta) * Gamma(1/2 + beta) / (pi^(1/2) Gamma(1-beta))."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
+    check_order("beta", beta)
     return float(
         beta
         * 2.0 ** (2.0 * beta)

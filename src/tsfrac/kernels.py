@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def check_order(name: str, value: float) -> None:
+    """Raise ValueError unless the fractional order ``name`` lies in the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0,1), got {value}")
+
+
 @dataclass(frozen=True)
 class TimeMesh:
     """Uniform time mesh 0 = t_0 < t_1 < ... < t_M = T with M >= 1 steps."""
@@ -129,8 +135,7 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
     t = O(1/m) before decaying alongside g_{1-alpha}.  Checks that need a
     nonincreasing kernel use :func:`monotone_regularized_kernel`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    check_order("alpha", alpha)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     tau = mesh.tau
@@ -159,8 +164,7 @@ def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSer
     discrete level only for nonincreasing kernels, so they are checked
     against this family.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    check_order("alpha", alpha)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     t = mesh.times()

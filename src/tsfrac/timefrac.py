@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .kernels import TimeSeries, convolve
+from .kernels import TimeSeries, check_order, convolve
 
 __all__ = [
     "ConvexProbe",
@@ -57,8 +57,7 @@ def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
 
     Strictly positive and strictly decreasing in j (concavity of j^(1-alpha)).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    check_order("alpha", alpha)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not tau > 0:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,15 @@ class TestExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("internal numeric error: states overflow")
+
+    def test_overflow_reports_one_line(self, tmp_path, capsys):
+        # numpy's overflow warnings stay inside solve: stderr is the error line
+        cfg = write_config(tmp_path, {"f": "1.7e308"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert caught == []
+        assert capsys.readouterr().err == "internal numeric error: states overflow: u^2 is not finite\n"
 
     def test_memory_preflight_exit_two(self, tmp_path, monkeypatch, capsys):
         # Decided from the estimate alone: nothing of the size is allocated.

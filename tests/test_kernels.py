@@ -19,6 +19,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx
 
+from tsfrac.fraclap import normalization_constant
 from tsfrac.kernels import (
     TimeMesh,
     TimeSeries,
@@ -30,6 +31,8 @@ from tsfrac.kernels import (
     monotone_regularized_kernel,
     regularized_kernel,
 )
+from tsfrac.solver import FracOrders
+from tsfrac.timefrac import l1_weights
 
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi), mpmath 30 dps
 G_03_AT_2 = 0.20576901592641537  # 2^(-0.7)/Gamma(0.3), mpmath 30 dps
@@ -317,3 +320,22 @@ class TestDataTypes:
         with pytest.raises(ValueError):
             TimeMesh(-1.0, 4)
         np.testing.assert_allclose(TimeMesh(1.0, 1).times(), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_fractional_orders_share_one_check(bad):
+    # Every entry point that takes alpha or beta rejects the same values with
+    # the same message; the CLI's own config checks name the key instead.
+    mesh = TimeMesh(1.0, 4)
+    cases = (
+        ("alpha", lambda: FracOrders(bad, 0.5)),
+        ("beta", lambda: FracOrders(0.5, bad)),
+        ("alpha", lambda: l1_weights(bad, 0.25, 4)),
+        ("beta", lambda: normalization_constant(bad)),
+        ("alpha", lambda: regularized_kernel(bad, 4, mesh)),
+        ("alpha", lambda: monotone_regularized_kernel(bad, 4, mesh)),
+    )
+    for name, call in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must lie in (0,1), got {bad}"

@@ -194,7 +194,7 @@ def l1_reference(problem, A):
     for n in range(1, M + 1):
         rhs = b[n - 1] * u[0] + f[n]
         if n > 1:
-            rhs = rhs + w[: n - 1] @ u[n - 1 : 0 : -1]
+            rhs = rhs + np.dot(w[n - 2 :: -1], u[1:n])
         u[n] = blas.dsymv(1.0, G, rhs, lower=cho[1])
     return u
 
@@ -333,6 +333,34 @@ class TestNonFiniteData:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="states overflow"):
                 solve(problem)
+
+
+class TestForcingSamples:
+    """``forcing_samples`` stores each call's result as one row of the
+    (M+1, n) samples, broadcast over x."""
+
+    def test_scalar_forcing_broadcasts_over_x(self):
+        problem = bump_problem(n=8, M=4, f_fn=lambda x, t: 2.0 * t)
+        expected = np.repeat(2.0 * problem.mesh.times()[:, None], 8, axis=1)
+        assert np.array_equal(problem.forcing_samples(), expected)
+        problem = bump_problem(n=8, M=4, f_fn=lambda x, t: 3)
+        assert np.array_equal(problem.forcing_samples(), np.full((5, 8), 3.0))
+
+    def test_vector_forcing_rows(self):
+        fn = lambda x, t: (1.0 - x**2) * np.cos(3.0 * t)
+        problem = bump_problem(n=8, M=4, f_fn=fn)
+        x = problem.grid.nodes()
+        expected = np.stack(
+            [np.broadcast_to(np.asarray(fn(x, float(t)), dtype=float), x.shape) for t in problem.mesh.times()]
+        )
+        got = problem.forcing_samples()
+        assert got.dtype == np.float64 and got.shape == (5, 8)
+        assert np.array_equal(got, expected)
+
+    def test_wrong_length_raises(self):
+        problem = bump_problem(n=8, M=4, f_fn=lambda x, t: np.ones(3))
+        with pytest.raises(ValueError, match="broadcast"):
+            problem.forcing_samples()
 
 
 class TestMollifiedTestFunction:
