@@ -12,7 +12,7 @@ Three layers of structure, each checked numerically below:
 
 import numpy as np
 
-from tsfrac import ConvexProbe, caputo_l1, convex_inequality_check, gl_weights, rl_extremum_sign
+from tsfrac import ConvexProbe, caputo_l1, convex_inequality_check, rl_extremum_sign
 from tsfrac.kernels import TimeMesh, TimeSeries, monotone_regularized_kernel, regularized_kernel
 from tsfrac.timefrac import fundamental_identity_residual
 
@@ -25,7 +25,9 @@ print("derivative of t^2 at t = 1, order 1/2 (exact 1.50450555...):")
 u = TimeSeries(tau, t**2)
 v = u.values
 print(f"  l1: {caputo_l1(u, alpha, M):.6f}")
-print(f"  gl: {tau**-alpha * gl_weights(alpha, M) @ (v[M::-1] - v[0]):.6f}")
+# Grunwald-Letnikov weights: w_0 = 1, w_j = w_{j-1} (1 - (alpha + 1)/j)
+gl = np.concatenate(([1.0], np.cumprod(1.0 - (alpha + 1.0) / np.arange(1, M + 1))))
+print(f"  gl: {tau**-alpha * gl @ (v[M::-1] - v[0]):.6f}")
 
 print("\nproduct-identity residual for u(t) = t, quadratic probe, k mollified (m=16):")
 probe = ConvexProbe(H=lambda y: 0.5 * y**2, dH=lambda y: y)

@@ -21,7 +21,6 @@ from .fraclap import (
     assemble_1d,
     bilinear_a,
     normalization_constant,
-    sign_split,
 )
 from .kernels import (
     TimeMesh,
@@ -55,7 +54,6 @@ from .timefrac import (
     caputo_l1,
     convex_inequality_check,
     fundamental_identity_residual,
-    gl_weights,
     l1_weights,
     rl_extremum_sign,
 )
@@ -68,11 +66,11 @@ __all__ = [
     "TimeMesh", "TimeSeries", "g_kernel", "h_kernel",
     "regularized_kernel", "monotone_regularized_kernel", "convolve", "mittag_leffler",
     # timefrac
-    "ConvexProbe", "gl_weights", "l1_weights", "caputo_l1",
+    "ConvexProbe", "l1_weights", "caputo_l1",
     "fundamental_identity_residual", "convex_inequality_check", "rl_extremum_sign",
     # fraclap
     "SpaceGrid", "Field", "FracLapMatrix", "normalization_constant",
-    "assemble_1d", "bilinear_a", "sign_split",
+    "assemble_1d", "bilinear_a",
     # solver
     "FracOrders", "ProblemSpec", "Solution", "solve",
     "mollified_test_function", "weak_residual",

@@ -350,10 +350,8 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
     rows = [("study", "resolution", "error", "observed_order")]
 
     # Caputo L1 order on u = t^2 against the closed form 2 t^(2-a)/Gamma(3-a).
-    from scipy.special import gamma as _gamma
-
     alpha = config.alpha
-    exact = 2.0 / _gamma(3.0 - alpha)
+    exact = 2.0 / math.gamma(3.0 - alpha)
     errs = []
     resol = (256, 512, 1024, 2048)
     for M in resol:
@@ -366,11 +364,11 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
 
     # Fractional Laplacian on the Getoor profile over (-1, 1) at the config beta.
     beta = config.beta
-    const = float(
+    const = (
         2.0**(2 * beta)
-        * _gamma(1 + beta)
-        * _gamma((1 + 2 * beta) / 2.0)
-        / _gamma(0.5)
+        * math.gamma(1 + beta)
+        * math.gamma((1 + 2 * beta) / 2.0)
+        / math.gamma(0.5)
     )
     errs = []
     resol_n = (128, 256, 512)

@@ -21,10 +21,10 @@ nonpositive off-diagonals, strictly positive row sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 from scipy.linalg import toeplitz
 
 from .kernels import check_order
@@ -37,8 +37,6 @@ __all__ = [
     "assemble_1d",
     "apply",
     "bilinear_a",
-    "sign_split",
-    "quadrature_reference",
 ]
 
 
@@ -97,11 +95,11 @@ class FracLapMatrix:
 def normalization_constant(beta: float) -> float:
     """The 1-D kernel constant beta * 2^(2 beta) * Gamma(1/2 + beta) / (pi^(1/2) Gamma(1-beta))."""
     check_order("beta", beta)
-    return float(
+    return (
         beta
         * 2.0 ** (2.0 * beta)
-        * special.gamma(0.5 + beta)
-        / (np.pi**0.5 * special.gamma(1.0 - beta))
+        * math.gamma(0.5 + beta)
+        / (np.pi**0.5 * math.gamma(1.0 - beta))
     )
 
 
@@ -217,42 +215,3 @@ def bilinear_a(u: Field, v: Field, beta: float) -> float:
     double = float(np.dot(uv, rows)) - cross  # (1/2) sum_{ij} W_ij (u_i-u_j)(v_i-v_j)
     exterior = h * float(np.dot(_exterior_tail(grid, beta), uv))
     return c * (double + exterior)
-
-
-def sign_split(u: Field) -> tuple[Field, Field]:
-    """Split into positive and negative parts: u = u+ - u-, both >= 0, u+ u- = 0."""
-    return (
-        Field(u.grid, np.maximum(u.values, 0.0)),
-        Field(u.grid, np.maximum(-u.values, 0.0)),
-    )
-
-
-def quadrature_reference(profile, x0: float, beta: float, a: float, b: float) -> float:
-    """Adaptive-quadrature oracle for (-Delta)^beta at one point.
-
-    Evaluates c * int_0^inf (2 u(x0) - u(x0+r) - u(x0-r)) r^(-1-2 beta) dr
-    for a callable profile (zero outside (a, b)) with scipy quadrature,
-    independent of the matrix assembly: breakpoints at the distances to
-    the domain ends, exact power-law tail beyond them.  x0 must be
-    interior.
-    """
-    if not a < x0 < b:
-        raise ValueError(f"x0={x0} must lie inside ({a}, {b})")
-    c = normalization_constant(beta)
-    u0 = float(profile(x0))
-
-    def uu(y):
-        return float(profile(y)) if a < y < b else 0.0
-
-    def integrand(r):
-        return (2.0 * u0 - uu(x0 + r) - uu(x0 - r)) * r ** (-1.0 - 2.0 * beta)
-
-    r_right = b - x0
-    r_left = x0 - a
-    rmax = max(r_left, r_right)
-    breaks = [p for p in sorted({r_left, r_right}) if 0.0 < p < rmax]
-    val, _ = integrate.quad(
-        integrand, 0.0, rmax, points=breaks or None, limit=400, epsabs=1e-12, epsrel=1e-10
-    )
-    tail = 2.0 * u0 * rmax ** (-2.0 * beta) / (2.0 * beta)
-    return c * (val + tail)

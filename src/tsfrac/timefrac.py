@@ -2,9 +2,8 @@
 
 The regularized fractional derivative d^alpha/dt^alpha (u - u(0)) is
 discretized by the L1 scheme (piecewise-linear convolution quadrature,
-positive decreasing weights, order 2-alpha).  The Grunwald-Letnikov
-binomial weights are kept as an independent reference for it.  On top of
-the L1 derivative sit three verification tools:
+positive decreasing weights, order 2-alpha).  On top of the L1
+derivative sit three verification tools:
 
 * a residual evaluator for the convolution-derivative product identity
   H'(u) d/dt(k*u) = d/dt(k*H(u)) + (H'(u)u - H(u)) k
@@ -18,38 +17,23 @@ the L1 derivative sit three verification tools:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .kernels import TimeSeries, check_order, convolve
 
 __all__ = [
     "ConvexProbe",
     "ConvexVerdicts",
-    "gl_weights",
     "l1_weights",
     "caputo_l1",
     "fundamental_identity_residual",
     "convex_inequality_check",
     "rl_extremum_sign",
 ]
-
-
-def gl_weights(alpha: float, n: int) -> np.ndarray:
-    """Grunwald-Letnikov weights w_0..w_n: w_0 = 1, w_j = w_{j-1}(1-(alpha+1)/j).
-
-    These are (-1)^j * binom(alpha, j); partial sums decrease to 0 from
-    above (binomial theorem at x = 1).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.ones(1)
-    j = np.arange(1, n + 1)
-    return np.concatenate(([1.0], np.cumprod(1.0 - (alpha + 1.0) / j)))
 
 
 def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
@@ -63,7 +47,7 @@ def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     j = np.arange(n + 1, dtype=float)
-    return tau ** (-alpha) * ((j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)) / special.gamma(2.0 - alpha)
+    return tau ** (-alpha) * ((j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)) / math.gamma(2.0 - alpha)
 
 
 def caputo_l1(u: TimeSeries, alpha: float, n: int) -> float:

@@ -22,8 +22,6 @@ from tsfrac.fraclap import (
     apply,
     assemble_1d,
     bilinear_a,
-    quadrature_reference,
-    sign_split,
 )
 from tsfrac.kernels import (
     TimeMesh,
@@ -38,6 +36,8 @@ from tsfrac.kernels import (
 from tsfrac.principles import BoundaryClass, TrialConfig, run_trials
 from tsfrac.solver import FracOrders, ProblemSpec, solve, weak_residual
 from tsfrac.timefrac import caputo_l1, convex_inequality_check, rl_extremum_sign
+
+from oracles import quadrature_reference, sign_split
 
 LATTICE = (0.3, 0.5, 0.7, 0.9)
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +146,18 @@ class TestVerifyCommand:
             assert message in capsys.readouterr().err
 
 
+    def test_identities_at_huge_m_exit_zero_quietly(self, tmp_path, capsys):
+        # m E_alpha(-m t^alpha) with m = 10^300 puts z near -1e300: the
+        # Mittag-Leffler rule must return a finite value without a warning
+        cfg = write_config(tmp_path, {"n": 128, "M": 256, "trials": 20, "seed": 0, "m": 10**300})
+        argv = ["verify", "--config", str(cfg), "--suite", "identities", "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+
+
 class TestKernelTableCommand:
     def test_outputs_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path, {"M": 16, "m_ladder": "2,8"})
@@ -235,3 +251,24 @@ class TestExitCodes:
     def test_bad_usage_exit_two(self, tmp_path):
         assert main(["verify", "--config", "x", "--suite", "bogus"]) == 2
         assert main(["frobnicate"]) == 2
+
+
+def test_commands_import_only_scipy_linalg(tmp_path):
+    # a cold process pays for every scipy subpackage it loads; the library
+    # and all four subcommands need scipy.linalg and nothing heavier
+    cfg = write_config(tmp_path, {"n": 128, "M": 256, "m": 16, "trials": 20, "seed": 0})
+    code = (
+        "import sys, tsfrac\n"
+        "from tsfrac import cli\n"
+        f"cfg, out = {str(cfg)!r}, {str(tmp_path / 'out')!r}\n"
+        "for argv in (['solve'], ['verify', '--suite', 'all'], ['convergence'], ['kernel-table']):\n"
+        "    assert cli.main(argv + ['--config', cfg, '--out', out]) == 0, argv\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -18,9 +18,9 @@ from tsfrac.fraclap import (
     assemble_1d,
     bilinear_a,
     normalization_constant,
-    quadrature_reference,
-    sign_split,
 )
+
+from oracles import quadrature_reference, sign_split
 
 
 def getoor_constant(beta: float) -> float:

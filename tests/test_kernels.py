@@ -3,14 +3,15 @@
 Frozen oracle values were computed independently (mpmath at 30 digits,
 cross-checked against scipy.special) before the implementations were
 written; the Mittag-Leffler evaluator is additionally checked against the
-closed form E_{1/2}(-x) = exp(x^2) erfc(x) across all three algorithm
-regimes via scipy.special.erfcx.
+closed form E_{1/2}(-x) = exp(x^2) erfc(x) in both of its regimes via
+scipy.special.erfcx, and against a committed mpmath table on a dense scan.
 """
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -33,6 +34,9 @@ from tsfrac.kernels import (
 )
 from tsfrac.solver import FracOrders
 from tsfrac.timefrac import l1_weights
+
+SCAN_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
+ML_REFERENCE = Path(__file__).resolve().parent / "data" / "ml_reference.csv"
 
 INV_SQRT_PI = 0.5641895835477563  # 1/sqrt(pi), mpmath 30 dps
 G_03_AT_2 = 0.20576901592641537  # 2^(-0.7)/Gamma(0.3), mpmath 30 dps
@@ -264,12 +268,12 @@ class TestMittagLeffler:
         assert mittag_leffler(0.5, -1.0) == pytest.approx(ML_HALF_AT_M1, rel=1e-12)
 
     def test_half_order_closed_form_all_regimes(self):
-        # E_{1/2}(-x) = erfcx(x): series, spectral and asymptotic regimes
+        # E_{1/2}(-x) = erfcx(x): series and spectral-rule regimes
         for x in (0.5, 1.0, 2.0, 3.0, 5.0, 9.0, 10.5, 20.0, 50.0):
             assert mittag_leffler(0.5, -x) == pytest.approx(float(erfcx(x)), rel=1e-7), x
 
-    # The README bound for alpha in [0.5, 0.99]: relative error below 1e-13 on
-    # the negative axis, on both sides of the asymptotic seam at z = -10.
+    # The README bound: relative error below 1e-13 on the negative axis, here
+    # at 11 points for alpha in [0.5, 0.99] (z = -10 was once a branch seam).
     ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
     @staticmethod
@@ -292,6 +296,28 @@ class TestMittagLeffler:
             ref = self._mpmath_series(alpha, z)
             rel = abs(mittag_leffler(alpha, z) - ref) / abs(ref)
             assert rel < 1e-13, (alpha, z, rel)
+
+    @pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+    def test_dense_scan_against_mpmath_reference(self, alpha):
+        # tests/data/ml_reference.csv, written by tests/make_ml_reference.py:
+        # 76 points on [-40, 0), both sides of the series switch, and -60 .. -1e4
+        table = [[float(v) for v in line.split(",")] for line in ML_REFERENCE.read_text().splitlines()[1:]]
+        rows = [(z, ref) for a, z, ref in table if a == alpha]
+        assert sum(-40.0 <= z < 0.0 for z, _ in rows) >= 76
+        assert {-60.0, -100.0, -1e3, -1e4} <= {z for z, _ in rows}
+        for z, ref in rows:
+            rel = abs(mittag_leffler(alpha, z) - ref) / ref
+            assert rel < 1e-13, (alpha, z, rel)
+
+    def test_far_negative_axis_is_finite_and_quiet(self):
+        # E_alpha(-x) ~ 1/(x Gamma(1 - alpha)) as x -> inf, and E_alpha(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.1, 0.5, 0.999):
+                for z in (-1e6, -1e300):
+                    lead = 1.0 / (-z * math.gamma(1.0 - alpha))
+                    assert mittag_leffler(alpha, z) == pytest.approx(lead, rel=1e-5), (alpha, z)
+                assert mittag_leffler(alpha, -math.inf) == 0.0
 
     def test_monotone_decreasing_on_negative_axis(self):
         for alpha in (0.3, 0.6, 0.9):

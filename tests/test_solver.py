@@ -26,7 +26,9 @@ from tsfrac.solver import (
     solve,
     weak_residual,
 )
-from tsfrac.timefrac import gl_weights, l1_weights
+from tsfrac.timefrac import l1_weights
+
+from oracles import gl_weights
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 

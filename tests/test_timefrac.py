@@ -18,10 +18,11 @@ from tsfrac.timefrac import (
     caputo_l1,
     convex_inequality_check,
     fundamental_identity_residual,
-    gl_weights,
     l1_weights,
     rl_extremum_sign,
 )
+
+from oracles import gl_weights
 
 D_HALF_T_AT_1 = 1.1283791670955126  # 1/Gamma(1.5)
 D_HALF_T2_AT_1 = 1.5045055561273501  # 2/Gamma(2.5)
