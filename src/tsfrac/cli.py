@@ -47,8 +47,10 @@ _OPTIONAL = {
 }
 _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256"}
 # Most bytes a config's solve may be estimated to need, checked before
-# anything is allocated: dense A, the identity and the Cholesky factor
-# (n x n each), plus the states and the sampled forcing ((M+1) x n each).
+# anything is allocated: three n x n matrices (dense A and the buffer that
+# holds b_0 I + A, its factor and its inverse, with room to spare), plus the
+# states and the sampled forcing ((M+1) x n each).  verify's trials run in
+# batches whose states and forcing stay under 4 MiB, or one trial at a time.
 _MEMORY_BUDGET = 2 * 2**30
 
 

@@ -27,20 +27,38 @@ numpy's own loop, 4-5 times slower at n = 128, while np.dot copies the
 weights to a contiguous buffer and calls BLAS gemv.  Only the order of
 summation differs from a step-by-step sum over u^{n-1}, ..., u^1.
 
-Each step applies G = (b_0 I + A)^{-1}, formed once per solve, with one
-symmetric matrix-vector product (BLAS dsymv) in place of two triangular
-solves.  G is the inverse of an M-matrix and so entrywise nonnegative
-(Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-SIAM 1994, ch. 6), and it stays so in floating point: the upper Cholesky
+The stepper, l1_states, advances K problems that share alpha, the grid,
+the mesh and A at once; solve is its one-column call.  The K right-hand
+sides of a step form one C-contiguous row of K n values, so the history
+sums above are the same products on K times wider operands, and column k
+is the one-column result up to the summation order BLAS picks for the
+wider operands.
+
+Each step applies G = (b_0 I + A)^{-1}, formed once per call, in place of
+two triangular solves.  LAPACK fills one triangle of G.  For one column
+the step is one symmetric matrix-vector product (BLAS dsymv) on that
+triangle.  For K > 1 the triangle is first mirrored into the full matrix
+and each step is one general matrix-matrix product (GEMM) of the K rows
+with G.  No one kernel serves both: at n = 128 (2 cores, OpenBLAS via
+numpy 2.4) the symmetric product dsymm takes 14 us for one column and
+22 us for 8, 8 dsymv calls take 29 us and GEMM on the full G 9 us; at
+n = 2048 a GEMV on the full G takes 1.4 ms against 0.54 ms for dsymv, so
+one column keeps dsymv.
+
+G is the inverse of an M-matrix and so entrywise nonnegative (Berman &
+Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM 1994,
+ch. 6), and it stays so in floating point: the upper Cholesky
 factor U of b_0 I + A has nonpositive off-diagonal entries even after
 rounding, so every term LAPACK dtrtri adds to U^{-1} has the same sign,
 and dlauum forms U^{-1} U^{-T} from products and sums of nonnegatives.
 Positivity is therefore exact, with no clamping: each history term is a
-positive weight times a nonnegative state, whatever the order, and G maps
-a nonnegative right-hand side to a nonnegative state.  The price is the
-backward error of inversion against solving (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., ch. 14): the relative step
-residual measured 1.5-1.7 times the Cholesky one (README).
+positive weight times a nonnegative state, whatever the order, and G, as
+one triangle for dsymv or mirrored for GEMM, maps a nonnegative
+right-hand side to a nonnegative state through sums of products of
+nonnegatives.  The price is the backward error of inversion against
+solving (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+ch. 14): the relative step residual measured 1.5-1.7 times the Cholesky
+one (README).
 
 Also here: the mollified test functions and the mollified weak-form
 residual used by the weak maximum-principle machinery.
@@ -67,6 +85,7 @@ __all__ = [
     "ProblemSpec",
     "Solution",
     "solve",
+    "l1_states",
     "mollified_test_function",
     "weak_residual",
     "solution_to_csv",
@@ -133,22 +152,12 @@ class Solution:
 
 
 def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
-    """Assemble (once) and run all M L1-implicit steps; deterministic for fixed inputs.
+    """Assemble (once), sample the forcing and run all M L1-implicit steps.
 
-    The weights, their differences and one triangle of the inverse
-    G = (b_0 I + A)^{-1} are computed once; b_0 I + A is built, factored and
-    inverted in one n x n buffer.  The steps run in blocks of _BLOCK: a
-    block starting at step s first forms the right-hand sides of all its
-    steps from u^0, the forcing and the history over u^1 .. u^{s-1}, one
-    matrix-matrix product per finished block of states; each step then adds
-    its sum over u^s .. u^{n-1} (one forward matrix-vector product) and
-    multiplies its right-hand side by G (one dsymv).  Every history term
-    is a positive weight times a nonnegative state and G is entrywise
-    nonnegative, so nonnegative data give exactly nonnegative states in
-    floating point.
-
-    Raises ValueError for a non-finite u0 or forcing sample (before any
-    factoring) and for states that overflow.
+    A one-column call of l1_states, which holds the stepper; deterministic
+    for fixed inputs.  Raises ValueError for a matrix assembled on another
+    grid or for another beta, for a non-finite u0 or forcing sample (before
+    any factoring) and for states that overflow.
     """
     if A is None:
         A = assemble_1d(problem.grid, problem.orders.beta)
@@ -156,19 +165,44 @@ def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
         raise ValueError("matrix assembled on a different grid")
     elif A.beta != problem.orders.beta:
         raise ValueError(f"matrix assembled for beta={A.beta}, not {problem.orders.beta}")
-    M = problem.mesh.M
-    nx = problem.grid.n
     fsamp = problem.forcing_samples()
-    states = np.empty((M + 1, nx))
-    states[0] = problem.u0.values
-    if not np.isfinite(states[0]).all():
-        i = np.flatnonzero(~np.isfinite(states[0]))[0]
-        raise ValueError(f"u0 is {states[0, i]} at x={float(problem.grid.nodes()[i])!r}")
-    if not np.isfinite(fsamp).all():
-        j, i = np.argwhere(~np.isfinite(fsamp))[0]
-        x, t = float(problem.grid.nodes()[i]), float(problem.mesh.times()[j])
-        raise ValueError(f"forcing sample is {fsamp[j, i]} at (x={x!r}, t={t!r})")
-    b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
+    states = l1_states(
+        problem.orders.alpha, problem.grid, problem.mesh, A, problem.u0.values[None], fsamp[:, None]
+    )
+    return Solution(problem=problem, states=states[:, 0], forcing=fsamp)
+
+
+def l1_states(
+    alpha: float, grid: SpaceGrid, mesh: TimeMesh, A: FracLapMatrix, u0: np.ndarray, forcing: np.ndarray
+) -> np.ndarray:
+    """States of K problems that share alpha, the grid, the mesh and A.
+
+    ``u0`` has shape (K, n), ``forcing`` holds the samples, shape
+    (M+1, K, n), and A must be assembled on ``grid``; the states come back
+    as (M+1, K, n).  The weights, their differences and one triangle of
+    G = (b_0 I + A)^{-1} are computed once; b_0 I + A is built, factored and
+    inverted in one n x n buffer.  The steps run in blocks of _BLOCK: a
+    block starting at step s first forms, in its own rows of the states,
+    the right-hand sides of all its steps from u^0, the forcing and the
+    history over u^1 .. u^{s-1}, one matrix-matrix product per finished
+    block of states; each step then adds its sum over u^s .. u^{n-1} (one
+    forward matrix-vector product) and multiplies by G (dsymv for one
+    column, GEMM on the mirrored G for more).  Nonnegative data give
+    exactly nonnegative states in floating point.
+
+    Raises ValueError for a non-finite u0 or forcing sample (before any
+    factoring) and for states that overflow.
+    """
+    M, nx = mesh.M, grid.n
+    K = u0.shape[0]
+    if not np.isfinite(u0).all():
+        k, i = np.argwhere(~np.isfinite(u0))[0]
+        raise ValueError(f"u0 is {u0[k, i]} at x={float(grid.nodes()[i])!r}")
+    if not np.isfinite(forcing).all():
+        j, k, i = np.argwhere(~np.isfinite(forcing))[0]
+        x, t = float(grid.nodes()[i]), float(mesh.times()[j])
+        raise ValueError(f"forcing sample is {forcing[j, k, i]} at (x={x!r}, t={t!r})")
+    b = l1_weights(alpha, mesh.tau, M)
     w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j > 0, j = 1..M
     # b_0 I + A, then its upper Cholesky factor, then the upper triangle of
     # its inverse, all in this one Fortran-ordered buffer.
@@ -178,28 +212,53 @@ def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
     G, info = lapack.dpotri(G, lower=lower, overwrite_c=True)
     if info != 0:
         raise ValueError(f"inverting b_0 I + A failed: LAPACK dpotri info={info}")
+    if K != 1:  # one GEMM per step on the full G
+        _mirror_triangle(G, lower)
+        step = np.empty((K, nx))
+    states = np.empty((M + 1, K, nx))
+    flat = states.reshape(M + 1, K * nx)
+    states[0] = u0
+    fflat = forcing.reshape(M + 1, K * nx)
     # An overflow shows as a non-finite state and is reported after the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, M + 1, _BLOCK):
             e = min(s + _BLOCK, M + 1)
-            # rhs[r] is the right-hand side of step s+r less its sum over
-            # u^s .. u^{s+r-1}: the u^0 and forcing terms, then the sum over
-            # the states u^1 .. u^{s-1} of the finished blocks.  Against the
-            # block u^c .. u^{c+_BLOCK-1} the weights form a Toeplitz matrix:
-            # rows d .. d+e-s-1 of a window view of w, columns reversed.
-            rhs = b[s - 1 : e - 1, None] * states[0] + fsamp[s:e]
+            # Row n of the block first holds the right-hand side of step n
+            # less its sum over u^s .. u^{n-1}: the u^0 and forcing terms,
+            # then the sum over the states u^1 .. u^{s-1} of the finished
+            # blocks.  Against the block u^c .. u^{c+_BLOCK-1} the weights
+            # form a Toeplitz matrix: rows d .. d+e-s-1 of a window view of w,
+            # columns reversed.
+            rhs = flat[s:e]
+            np.multiply(b[s - 1 : e - 1, None], flat[0], out=rhs)
+            rhs += fflat[s:e]
             for c in range(1, s, _BLOCK):
                 d = s - c - _BLOCK
-                rhs += sliding_window_view(w, _BLOCK)[d : d + e - s, ::-1] @ states[c : c + _BLOCK]
+                rhs += sliding_window_view(w, _BLOCK)[d : d + e - s, ::-1] @ flat[c : c + _BLOCK]
             for n in range(s, e):
-                r = rhs[n - s]
+                r = flat[n]
                 if n > s:  # w_{n-s-1}, ..., w_0 against u^s .. u^{n-1}
-                    r += np.dot(w[n - s - 1 :: -1], states[s:n])
-                states[n] = blas.dsymv(1.0, G, r, lower=lower)
-    if not np.isfinite(states).all():
-        k = np.flatnonzero(~np.isfinite(states).all(axis=1))[0]
+                    r += np.dot(w[n - s - 1 :: -1], flat[s:n])
+                if K == 1:
+                    r[:] = blas.dsymv(1.0, G, r, lower=lower)
+                else:
+                    np.matmul(states[n], G, out=step)
+                    states[n] = step
+    if not np.isfinite(flat).all():
+        k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
         raise ValueError(f"states overflow: u^{k} is not finite")
-    return Solution(problem=problem, states=states, forcing=fsamp)
+    return states
+
+
+def _mirror_triangle(G: np.ndarray, lower: bool) -> None:
+    """Copy the triangle LAPACK filled into the other one, _BLOCK columns at a time."""
+    nx = G.shape[0]
+    src, dst = (G.T, G) if lower else (G, G.T)  # src holds the values in its upper triangle
+    for j in range(0, nx, _BLOCK):
+        e = min(j + _BLOCK, nx)
+        tri = np.triu_indices(e - j, 1)
+        dst[j:e, j:e][tri] = src[j:e, j:e][tri]
+        dst[j:e, e:] = src[j:e, e:]
 
 
 def mollified_test_function(phi: np.ndarray, m: int, mesh: TimeMesh) -> np.ndarray:

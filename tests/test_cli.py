@@ -177,6 +177,15 @@ class TestKernelTableCommand:
         assert d2 > d8 > 0.0
 
 
+class TestConvergenceCommand:
+    def test_tiny_alpha_exit_zero(self, tmp_path):
+        # E_alpha(-1) at alpha = 0.001 needs 17,600 series terms
+        cfg = write_config(tmp_path, {"alpha": 0.001})
+        out = tmp_path / "c"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "convergence.csv").exists()
+
+
 class TestExitCodes:
     def test_config_errors_exit_two(self, tmp_path):
         bad_alpha = write_config(tmp_path, {"alpha": 1.2}, name="bad_alpha.json")

@@ -297,6 +297,15 @@ class TestMittagLeffler:
             rel = abs(mittag_leffler(alpha, z) - ref) / abs(ref)
             assert rel < 1e-13, (alpha, z, rel)
 
+    @pytest.mark.parametrize("z", [-1.0, -0.5])
+    @pytest.mark.parametrize("alpha", [0.001, 0.003, 0.01])
+    def test_tiny_alpha_series_against_mpmath(self, alpha, z):
+        # The terms 1/Gamma(alpha k + 1) only fall below 1e-15 past
+        # alpha k ~ 17.6: 17,600 terms at alpha = 0.001, z = -1.
+        ref = self._mpmath_series(alpha, z)
+        rel = abs(mittag_leffler(alpha, z) - ref) / abs(ref)
+        assert rel <= 1e-13, (alpha, z, rel)
+
     @pytest.mark.parametrize("alpha", SCAN_ALPHAS)
     def test_dense_scan_against_mpmath_reference(self, alpha):
         # tests/data/ml_reference.csv, written by tests/make_ml_reference.py:

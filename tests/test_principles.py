@@ -7,10 +7,12 @@ discrete statements, so the tolerances here are roundoff-sized.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tsfrac import principles
 from tsfrac.fraclap import Field, SpaceGrid
 from tsfrac.kernels import TimeMesh
 from tsfrac.principles import (
@@ -22,6 +24,8 @@ from tsfrac.principles import (
     run_trials,
 )
 from tsfrac.solver import FracOrders, ProblemSpec, solve
+
+from oracles import run_trials_reference
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -219,3 +223,80 @@ class TestRunTrials:
             assert key in data
         assert data["trials"] == 3
         assert [0.3, 0.4] in data["lattice"]
+
+
+KINDS = ("nonneg", "boundary-min", "boundary-max", "weak-nonneg")
+
+
+def one_point(kind="nonneg", trials=20, seed=0, n=128, M=256):
+    return TrialConfig(kind=kind, trials=trials, seed=seed, alphas=(0.6,), betas=(0.45,),
+                       grid=SpaceGrid(-1.0, 1.0, n), mesh=TimeMesh(1.0, M))
+
+
+def record_batches(monkeypatch):
+    """Record the (u0, forcing) arguments of every batched solve."""
+    calls = []
+    original = principles.l1_states
+
+    def recorder(alpha, grid, mesh, A, u0, forcing):
+        calls.append((u0.copy(), forcing.copy()))
+        return original(alpha, grid, mesh, A, u0, forcing)
+
+    monkeypatch.setattr(principles, "l1_states", recorder)
+    return calls
+
+
+class TestBatchedTrials:
+    """``run_trials`` solves each lattice point's trials as batches of one
+    K-column solve; the reports must be those of one solve per trial."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_per_trial_reference(self, kind, seed):
+        uneven = TrialConfig(kind=kind, trials=37, seed=seed, alphas=(0.3, 0.7), betas=(0.4, 0.8),
+                             grid=SpaceGrid(-1.0, 1.0, 24), mesh=TimeMesh(1.0, 300))
+        for config in (uneven, one_point(kind, seed=seed)):
+            got = json.dumps(run_trials(config).to_json_dict())
+            assert got == json.dumps(run_trials_reference(config).to_json_dict())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forcing_columns_are_the_step_samples(self, kind, monkeypatch):
+        # Batches run point by point, each point's trials in trial order;
+        # each forcing column is one call of the trial's closure on the
+        # column of mesh times, and must equal the step-by-step samples.
+        calls = record_batches(monkeypatch)
+        config = TrialConfig(kind=kind, trials=10, seed=3, alphas=(0.3, 0.7), betas=(0.5,),
+                             grid=SpaceGrid(-1.0, 1.0, 32), mesh=TimeMesh(1.0, 256))
+        run_trials(config)
+        seeds = np.random.default_rng(3).integers(0, 2**31 - 1, 10)
+        order = [i for p in range(2) for i in range(p, 10, 2)]
+        columns = [(u0[k], forcing[:, k]) for u0, forcing in calls for k in range(len(u0))]
+        assert len(columns) == len(order)
+        grid = config.grid
+        for i, (u0, forcing) in zip(order, columns):
+            u0_ref, f = principles._trial_data(kind, int(seeds[i]), grid)
+            problem = ProblemSpec(FracOrders(0.3, 0.5), grid, config.mesh, Field(grid, u0_ref), f)
+            assert np.array_equal(u0, u0_ref)
+            assert np.array_equal(forcing, problem.forcing_samples())
+
+    def test_batch_widths(self, monkeypatch):
+        # 16 (M+1) n bytes per trial against a 4 MiB cap: 7 trials fit at
+        # n = 128, M = 256, so 20 trials on one point run as 7, 7, 6 ...
+        calls = record_batches(monkeypatch)
+        run_trials(one_point())
+        assert [len(u0) for u0, _ in calls] == [7, 7, 6]
+        # ... and one at a time once a single trial needs 4 MiB.
+        calls.clear()
+        run_trials(one_point(trials=3, n=512, M=511))
+        assert [len(u0) for u0, _ in calls] == [1, 1, 1]
+
+    def test_memory_peak(self):
+        # One batch of 7 holds about 3.7 MB of states and forcing samples.
+        config = one_point()
+        tracemalloc.start()
+        try:
+            run_trials(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20

@@ -20,6 +20,7 @@ from tsfrac.solver import (
     ProblemSpec,
     Solution,
     config_hash,
+    l1_states,
     mollified_test_function,
     solution_metadata,
     solution_to_csv,
@@ -313,6 +314,54 @@ class TestInverseStep:
                 assert info == 0
                 assert not np.any(G[upper] < 0.0), (alpha, M)
                 assert not np.any(np.signbit(G[upper])), (alpha, M)
+
+
+class TestManyColumns:
+    """``l1_states`` steps K problems at once: each step multiplies the K
+    right-hand sides by the full inverse (one GEMM) where one column takes
+    one dsymv, and the history sums run K times wider."""
+
+    @staticmethod
+    def data(n, K, M, seed):
+        rng = np.random.default_rng(seed)
+        grid = SpaceGrid(-1.0, 1.0, n)
+        return grid, TimeMesh(1.0, M), rng.uniform(0.0, 1.0, (K, n)), rng.uniform(0.0, 1.0, (M + 1, K, n))
+
+    @pytest.mark.parametrize("M", [1, 256, 600])
+    @pytest.mark.parametrize("K", [2, 7])
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_columns_match_one_column_solves(self, n, K, M):
+        grid, mesh, u0, F = self.data(n, K, M, seed=1000 * n + 10 * K + M)
+        A = assemble_1d(grid, 0.6)
+        got = l1_states(0.4, grid, mesh, A, u0, F)
+        assert got.shape == (M + 1, K, n)
+        for k in range(K):
+            one = l1_states(0.4, grid, mesh, A, u0[k : k + 1], F[:, k : k + 1])
+            np.testing.assert_allclose(got[:, k], one[:, 0], rtol=1e-13, atol=0.0)
+        assert got.min() >= 0.0
+
+    def test_one_column_is_solve(self):
+        problem = random_problem(16, 300, 0.7, 0.6, seed=3)
+        A = assemble_1d(problem.grid, 0.6)
+        got = l1_states(0.7, problem.grid, problem.mesh, A, problem.u0.values[None],
+                        problem.forcing_samples()[:, None])
+        assert np.array_equal(got[:, 0], solve(problem, A=A).states)
+
+    def test_non_finite_data_in_a_later_column(self):
+        grid, mesh, u0, F = self.data(16, 3, 8, seed=5)
+        A = assemble_1d(grid, 0.6)
+        x = grid.nodes()
+        bad = u0.copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError) as info:
+            l1_states(0.5, grid, mesh, A, bad, F)
+        assert str(info.value) == f"u0 is nan at x={float(x[3])!r}"
+        bad = F.copy()
+        bad[4, 1, 7] = -np.inf
+        with pytest.raises(ValueError) as info:
+            l1_states(0.5, grid, mesh, A, u0, bad)
+        t = float(mesh.times()[4])
+        assert str(info.value) == f"forcing sample is -inf at (x={float(x[7])!r}, t={t!r})"
 
 
 class TestNonFiniteData:
