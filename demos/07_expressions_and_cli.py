@@ -11,6 +11,8 @@ import json
 import pathlib
 import tempfile
 
+import numpy as np
+
 from tsfrac.cli import load_config, main
 from tsfrac.exprparse import evaluate, parse, to_str
 
@@ -18,6 +20,7 @@ expr = parse("max(0, 1 - x^2) * exp(-t)")
 print(f"parsed:        {to_str(expr)}")
 print(f"value (0, 0):  {evaluate(expr, 0.0, 0.0)}")
 print(f"value (.5, 1): {evaluate(expr, 0.5, 1.0):.6f}")
+print(f"on 5 nodes:    {evaluate(expr, np.linspace(-1.0, 1.0, 5), 0.0)}")  # x and t broadcast
 
 # syntax errors carry byte offsets and expectations
 try:

@@ -96,14 +96,12 @@ class RunConfig:
 
 
 def _sample_expr(expr: exprparse.Expr, xs: np.ndarray, t: float, key: str) -> np.ndarray:
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        v = exprparse.evaluate(expr, float(x), float(t))
-        if not np.isfinite(v):
-            raise ConfigError(
-                f"expression {key!r} evaluates to {v} at (x={float(x)!r}, t={t!r})"
-            )
-        out[i] = v
+    """Sample expr on the node array xs at time t; name the first non-finite sample."""
+    out = exprparse.evaluate(expr, xs, t)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        v, x = float(out[bad[0]]), float(xs[bad[0]])
+        raise ConfigError(f"expression {key!r} evaluates to {v} at (x={x!r}, t={float(t)!r})")
     return out
 
 
@@ -145,10 +143,12 @@ def load_config(path: str | Path) -> RunConfig:
     def have(*keys):
         return all(k in vals for k in keys)
 
-    if have("alpha") and not 0.0 < vals["alpha"] < 1.0:
-        errors.append(f"key 'alpha': must lie in the open interval (0,1), got {vals['alpha']}")
-    if have("beta") and not 0.0 < vals["beta"] < 1.0:
-        errors.append(f"key 'beta': must lie in the open interval (0,1), got {vals['beta']}")
+    for key in ("alpha", "beta"):
+        if have(key):
+            try:
+                kernels.check_order(key, vals[key])
+            except ValueError as e:
+                errors.append(f"key {key!r}: {e}")
     if have("a", "b") and not vals["a"] < vals["b"]:
         errors.append(f"keys 'a','b': need a < b, got [{vals['a']}, {vals['b']}]")
     if have("n") and vals["n"] < 1:

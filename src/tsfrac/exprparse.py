@@ -11,15 +11,21 @@ Grammar (EBNF):
 Precedence: ^  >  unary -  >  * /  >  + -.  Known names: sin, cos, exp,
 abs, sqrt (unary) and max, min (binary); the only variables are x and t.
 Parsing is total: any byte string either parses or raises ParseError with
-the byte offset and the expected-token set.  Evaluation follows IEEE
-float conventions (division by zero and domain violations yield inf/nan,
-which propagate; rejecting them is the config loader's job).
+the byte offset and the expected-token set; that includes nesting deeper
+than MAX_DEPTH.  ``evaluate`` works elementwise on numpy arrays, so the
+CLI samples an expression on the whole node array once per time step.
+It follows IEEE float conventions (division by zero and domain
+violations yield inf/nan, which propagate; rejecting them is the config
+loader's job), except that x^k for integer |k| <= 64 is repeated
+multiplication, so (-0)^-1 is +inf.  exp and other powers use numpy's
+exp and log, which may differ from the C library's in the last bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -33,10 +39,12 @@ __all__ = [
     "evaluate",
     "to_str",
     "FUNCTIONS",
+    "MAX_DEPTH",
 ]
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "sqrt": 1, "max": 2, "min": 2}
 VARIABLES = ("x", "t")
+MAX_DEPTH = 100  # parentheses, call arguments and exponents; far below the recursion limit
 
 
 class ParseError(ValueError):
@@ -133,6 +141,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -141,6 +150,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def accept(self, ops: str):
+        """Consume and return the next token if it is one of the operators in ops."""
+        kind, text, _ = self.peek()
+        return self.advance() if kind == "op" and text in ops else None
 
     def expect_op(self, op: str):
         kind, text, off = self.peek()
@@ -157,38 +171,39 @@ class _Parser:
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                e = BinOp(text, e, self.term())
-            else:
-                return e
+        while tok := self.accept("+-"):
+            e = BinOp(tok[1], e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                e = BinOp(text, e, self.unary())
-            else:
-                return e
+        while tok := self.accept("*/"):
+            e = BinOp(tok[1], e, self.unary())
+        return e
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+        negs = 0
+        while self.accept("-"):  # a loop, so long chains of minus signs cost no recursion
+            negs += 1
+        e = self.power()
+        for _ in range(negs):
+            e = Neg(e)
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())  # right-associative
+        if tok := self.accept("^"):
+            return BinOp("^", base, self.nested(self.unary, tok[2]))  # right-associative
         return base
+
+    def nested(self, parse, off: int) -> Expr:
+        """Parse one level deeper: inside parentheses, call arguments or an exponent."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError("expression nested too deeply", off)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def atom(self) -> Expr:
         kind, text, off = self.advance()
@@ -199,15 +214,10 @@ class _Parser:
                 return Var(text)
             if text in FUNCTIONS:
                 arity = FUNCTIONS[text]
-                self.expect_op("(")
-                args = [self.expr()]
-                while True:
-                    k2, t2, o2 = self.peek()
-                    if k2 == "op" and t2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                paren = self.expect_op("(")[2]
+                args = [self.nested(self.expr, paren)]
+                while self.accept(","):
+                    args.append(self.nested(self.expr, paren))
                 self.expect_op(")")
                 if len(args) != arity:
                     raise ParseError(
@@ -218,7 +228,7 @@ class _Parser:
                 f"unknown identifier {text!r}", off, ("x", "t", *sorted(FUNCTIONS))
             )
         if kind == "op" and text == "(":
-            e = self.expr()
+            e = self.nested(self.expr, off)
             self.expect_op(")")
             return e
         what = f"got {text!r}" if text else "unexpected end of input"
@@ -230,69 +240,55 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-def _pow(a: float, b: float) -> float:
-    """Real power: repeated multiplication for small integer exponents, exp*log otherwise."""
-    if b == int(b) and abs(b) <= 64:
-        k = int(abs(b))
-        out = 1.0
-        for _ in range(k):
-            out *= a
-        if b < 0:
-            if out == 0.0:
-                return math.inf if a >= 0 or k % 2 == 0 else -math.inf
-            return 1.0 / out
-        return out
-    if a < 0.0:
-        return math.nan
-    if a == 0.0:
-        return 0.0 if b > 0 else math.inf
-    try:
-        return math.exp(b * math.log(a))
-    except OverflowError:
-        return math.inf
+def _pow(a, b):
+    """Real power: repeated multiplication for integer |b| <= 64, exp(b log a) otherwise."""
+    a, b = np.broadcast_arrays(a, b)
+    whole = (b == np.trunc(b)) & (np.abs(b) <= 64)
+    k = np.where(whole, np.abs(b), 0).astype(int)
+    out = np.ones(a.shape)
+    for i in range(k.max(initial=0)):
+        out = np.where(i < k, out * a, out)
+    zero = np.where((a >= 0.0) | (k % 2 == 0), np.inf, -np.inf)
+    out = np.where(b < 0, np.where(out == 0.0, zero, 1.0 / out), out)
+    real = np.where(a == 0.0, np.where(b > 0, 0.0, np.inf), np.exp(b * np.log(a)))
+    return np.where(whole, out, np.where(a < 0.0, np.nan, real))
 
 
-def evaluate(e: Expr, x: float, t: float) -> float:
-    """Evaluate with IEEE semantics: inf/nan propagate, nothing raises."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(x) if e.name == "x" else float(t)
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x, t)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, x, t)
-        b = evaluate(e.right, x, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                if a == 0.0 or math.isnan(a):
-                    return math.nan
-                return math.copysign(math.inf, a) * math.copysign(1.0, b)
-            return a / b
-        return _pow(a, b)
-    a = [evaluate(arg, x, t) for arg in e.args]
-    if e.name == "sin":
-        return math.sin(a[0]) if math.isfinite(a[0]) else math.nan
-    if e.name == "cos":
-        return math.cos(a[0]) if math.isfinite(a[0]) else math.nan
-    if e.name == "exp":
-        try:
-            return math.exp(a[0])
-        except OverflowError:
-            return math.inf
-    if e.name == "abs":
-        return abs(a[0])
-    if e.name == "sqrt":
-        return math.sqrt(a[0]) if a[0] >= 0.0 else math.nan
-    if e.name == "max":
-        return max(a[0], a[1])
-    return min(a[0], a[1])
+_FUNCS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": _pow,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt": np.sqrt,
+    "max": lambda a, b: np.where(b > a, b, a),  # Python's order: a unless b is beyond it
+    "min": lambda a, b: np.where(b < a, b, a),
+}
+
+
+def evaluate(e: Expr, x, t):
+    """Evaluate elementwise over broadcast x and t with IEEE semantics: inf/nan propagate.
+
+    Walks the tree with an explicit stack, so depth is bounded by memory,
+    not by Python's recursion limit.  Returns a float for scalar x and t,
+    else an array of their broadcast shape.
+    """
+    env = {"x": np.asarray(x, dtype=float), "t": np.asarray(t, dtype=float)}
+    todo, vals = [e], []
+    with np.errstate(all="ignore"):
+        while todo:
+            node = todo.pop()
+            if isinstance(node, tuple):  # (function, arity): its operands are on vals
+                fn, k = node
+                vals[-k:] = [fn(*vals[-k:])]
+            elif isinstance(node, Num):
+                vals.append(node.value)
+            elif isinstance(node, Var):
+                vals.append(env[node.name])
+            elif isinstance(node, Neg):
+                todo += [(np.negative, 1), node.arg]
+            elif isinstance(node, BinOp):
+                todo += [(_FUNCS[node.op], 2), node.right, node.left]
+            else:
+                todo += [(_FUNCS[node.name], len(node.args)), *reversed(node.args)]
+    out = np.array(np.broadcast_to(vals[0], np.broadcast_shapes(env["x"].shape, env["t"].shape)))
+    return float(out) if out.ndim == 0 else out
 
 
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .kernels import check_order
 
@@ -208,7 +207,7 @@ def bilinear_a(u: Field, v: Field, beta: float) -> float:
     if n > 1:
         w[1:] = h**2 * dists ** (-1.0 - 2.0 * beta)
         w[1] = _near_weight(h, beta) / h
-    W = toeplitz(w)
+    W = w[np.abs(np.arange(n)[:, None] - np.arange(n))]  # Toeplitz: W_ij = w_|i-j|
     uv = u.values * v.values
     rows = W @ np.ones(n)
     cross = float(u.values @ (W @ v.values))

@@ -77,7 +77,7 @@ from scipy import linalg
 from scipy.linalg import blas, lapack
 
 from .fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d, bilinear_a
-from .kernels import TimeMesh, TimeSeries, check_order, convolve, h_kernel, regularized_kernel
+from .kernels import TimeMesh, check_order, h_kernel, regularized_kernel
 from .timefrac import l1_weights
 
 __all__ = [
@@ -323,19 +323,16 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
     tau = problem.mesh.tau
     h = problem.grid.h
     alpha = problem.orders.alpha
-    greg = regularized_kernel(alpha, m, problem.mesh)
-    hm = TimeSeries(tau, h_kernel(m, problem.mesh.times()))
+    greg = regularized_kernel(alpha, m, problem.mesh).values
+    hm = h_kernel(m, problem.mesh.times())
+
+    def conv(k, u, j):  # kernels.convolve(k, u) at t_j, on every node at once
+        return tau * (k[:j] @ u[j:0:-1])
 
     dstates = sol.states - sol.states[0]
-    nx = problem.grid.n
-    ddt = np.empty(nx)
-    hu_n = np.empty(nx)
-    hf_n = np.empty(nx)
-    for i in range(nx):
-        conv_g = convolve(greg, TimeSeries(tau, dstates[:, i])).values
-        ddt[i] = (conv_g[n + 1] - conv_g[n]) / tau
-        hu_n[i] = convolve(hm, TimeSeries(tau, sol.states[:, i])).values[n]
-        hf_n[i] = convolve(hm, TimeSeries(tau, sol.forcing[:, i])).values[n]
+    ddt = (conv(greg, dstates, n + 1) - conv(greg, dstates, n)) / tau
+    hu_n = conv(hm, sol.states, n)
+    hf_n = conv(hm, sol.forcing, n)
     term_time = h * float(psi.values @ ddt)
     term_form = bilinear_a(Field(problem.grid, hu_n), psi, problem.orders.beta)
     term_load = h * float(psi.values @ hf_n)

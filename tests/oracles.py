@@ -3,13 +3,20 @@
 Each one computes a quantity by a route the library does not take:
 adaptive quadrature of the fractional Laplacian's definition, the
 positive/negative split of a grid function, the Grunwald-Letnikov
-binomial weights, and the randomized trials run one solve per trial.
+binomial weights, the randomized trials run one solve per trial, the
+mollified weak residual with one discrete convolution per node, and the
+expression language evaluated one scalar (x, t) at a time by a recursive
+tree walk with Python's math module.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
 
-from tsfrac.fraclap import Field, assemble_1d, normalization_constant
+from tsfrac.exprparse import BinOp, Expr, Neg, Num, Var
+
+from tsfrac.fraclap import Field, assemble_1d, bilinear_a, normalization_constant
 from tsfrac.principles import (
     _MODES,
     PrincipleReport,
@@ -19,7 +26,8 @@ from tsfrac.principles import (
     check_nonnegativity,
     check_parabolic_boundary,
 )
-from tsfrac.solver import FracOrders, ProblemSpec, solve
+from tsfrac.kernels import TimeSeries, convolve, h_kernel, regularized_kernel
+from tsfrac.solver import FracOrders, ProblemSpec, Solution, solve
 
 
 def quadrature_reference(profile, x0: float, beta: float, a: float, b: float) -> float:
@@ -133,3 +141,91 @@ def run_trials_reference(config: TrialConfig) -> PrincipleReport:
     worst.lattice = lattice
     worst.kind = config.kind
     return worst
+
+
+def weak_residual_reference(sol: Solution, psi: Field, m: int, n: int) -> float:
+    """``weak_residual`` with three ``kernels.convolve`` calls per node."""
+    problem = sol.problem
+    tau = problem.mesh.tau
+    h = problem.grid.h
+    greg = regularized_kernel(problem.orders.alpha, m, problem.mesh)
+    hm = TimeSeries(tau, h_kernel(m, problem.mesh.times()))
+    dstates = sol.states - sol.states[0]
+    nx = problem.grid.n
+    ddt = np.empty(nx)
+    hu_n = np.empty(nx)
+    hf_n = np.empty(nx)
+    for i in range(nx):
+        conv_g = convolve(greg, TimeSeries(tau, dstates[:, i])).values
+        ddt[i] = (conv_g[n + 1] - conv_g[n]) / tau
+        hu_n[i] = convolve(hm, TimeSeries(tau, sol.states[:, i])).values[n]
+        hf_n[i] = convolve(hm, TimeSeries(tau, sol.forcing[:, i])).values[n]
+    term_time = h * float(psi.values @ ddt)
+    term_form = bilinear_a(Field(problem.grid, hu_n), psi, problem.orders.beta)
+    term_load = h * float(psi.values @ hf_n)
+    return term_time + term_form - term_load
+
+
+def _pow(a: float, b: float) -> float:
+    """Real power: repeated multiplication for small integer exponents, exp*log otherwise."""
+    if b == int(b) and abs(b) <= 64:
+        k = int(abs(b))
+        out = 1.0
+        for _ in range(k):
+            out *= a
+        if b < 0:
+            if out == 0.0:
+                return math.inf if a >= 0 or k % 2 == 0 else -math.inf
+            return 1.0 / out
+        return out
+    if a < 0.0:
+        return math.nan
+    if a == 0.0:
+        return 0.0 if b > 0 else math.inf
+    try:
+        return math.exp(b * math.log(a))
+    except OverflowError:
+        return math.inf
+
+
+def evaluate_reference(e: Expr, x: float, t: float) -> float:
+    """Evaluate with IEEE semantics: inf/nan propagate, nothing raises."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return float(x) if e.name == "x" else float(t)
+    if isinstance(e, Neg):
+        return -evaluate_reference(e.arg, x, t)
+    if isinstance(e, BinOp):
+        a = evaluate_reference(e.left, x, t)
+        b = evaluate_reference(e.right, x, t)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                if a == 0.0 or math.isnan(a):
+                    return math.nan
+                return math.copysign(math.inf, a) * math.copysign(1.0, b)
+            return a / b
+        return _pow(a, b)
+    a = [evaluate_reference(arg, x, t) for arg in e.args]
+    if e.name == "sin":
+        return math.sin(a[0]) if math.isfinite(a[0]) else math.nan
+    if e.name == "cos":
+        return math.cos(a[0]) if math.isfinite(a[0]) else math.nan
+    if e.name == "exp":
+        try:
+            return math.exp(a[0])
+        except OverflowError:
+            return math.inf
+    if e.name == "abs":
+        return abs(a[0])
+    if e.name == "sqrt":
+        return math.sqrt(a[0]) if a[0] >= 0.0 else math.nan
+    if e.name == "max":
+        return max(a[0], a[1])
+    return min(a[0], a[1])

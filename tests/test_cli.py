@@ -261,6 +261,46 @@ class TestExitCodes:
         assert main(["verify", "--config", "x", "--suite", "bogus"]) == 2
         assert main(["frobnicate"]) == 2
 
+    def test_deeply_nested_expression_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"f": "(" * 400 + "x" + ")" * 400})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        named = [line.strip() for line in err.splitlines() if "offset" in line]
+        assert named == ["key 'f': expression nested too deeply at offset 100"]
+
+    def test_five_thousand_term_forcing_exit_zero(self, tmp_path):
+        cfg = write_config(tmp_path, {"f": "+".join(["x"] * 5000), "n": 4, "M": 2})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_infinite_exponent_exit_two(self, tmp_path, capsys):
+        # 2^(1/0) overflows to inf like any other sample: a config error
+        cfg = write_config(tmp_path, {"f": "2^(1/(x - x))"})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "evaluates to inf" in capsys.readouterr().err
+
+
+class TestSampling:
+    def test_first_non_finite_node_is_named(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"u0": "sqrt(-x)"}))
+        with pytest.raises(ConfigError) as info:
+            cfg.problem()
+        msg = "expression 'u0' evaluates to nan at (x=0.05882352941176472, t=0.0)"
+        assert str(info.value) == msg
+
+    def test_time_is_named_as_a_python_float(self, tmp_path):
+        problem = load_config(write_config(tmp_path, {"f": "1/(t - 0.5)"})).problem()
+        with pytest.raises(ConfigError) as info:
+            problem.forcing(problem.grid.nodes(), np.float64(0.5))
+        msg = "expression 'f' evaluates to inf at (x=-0.8823529411764706, t=0.5)"
+        assert str(info.value) == msg
+
+    def test_constant_fills_the_node_array(self, tmp_path):
+        problem = load_config(write_config(tmp_path, {"u0": "0.5", "f": "-0"})).problem()
+        assert np.array_equal(problem.u0.values, np.full(16, 0.5))
+        f = problem.forcing_samples()
+        assert f.shape == (13, 16) and np.all(np.signbit(f))
+
 
 def test_commands_import_only_scipy_linalg(tmp_path):
     # a cold process pays for every scipy subpackage it loads; the library

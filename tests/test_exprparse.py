@@ -7,6 +7,7 @@ import string
 import pytest
 
 from tsfrac.exprparse import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -198,3 +199,43 @@ class TestEvaluate:
     def test_inf_propagates(self):
         assert math.isnan(evaluate(parse("sin(1/x)"), 0.0, 0.0))
         assert evaluate(parse("exp(1/x)"), 0.0, 0.0) == math.inf
+
+
+class TestNestingLimit:
+    def test_parentheses_past_the_limit_raise_with_offset(self):
+        src = "(" * 400 + "x" + ")" * 400
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert info.value.offset == MAX_DEPTH
+        assert str(info.value) == f"expression nested too deeply at offset {MAX_DEPTH}"
+
+    def test_parentheses_at_the_limit_parse(self):
+        e = parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+        assert e == Var("x")
+
+    def test_exponents_and_calls_count_as_nesting(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("^".join(["x"] * (MAX_DEPTH + 2)))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("sin(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+        assert evaluate(parse("^".join(["1"] * (MAX_DEPTH + 1))), 0.0, 0.0) == 1.0
+
+    def test_long_unary_minus_chain_parses_and_evaluates(self):
+        e = parse("-" * 900 + "x")
+        depth = 0
+        while isinstance(e, Neg):
+            e, depth = e.arg, depth + 1
+        assert depth == 900 and e == Var("x")
+        assert evaluate(parse("-" * 900 + "x"), 2.0, 0.0) == 2.0
+        assert evaluate(parse("-" * 901 + "x"), 2.0, 0.0) == -2.0
+
+    def test_parenthesized_minus_chain_never_crashes(self):
+        src = "(" * 150 + "-" * 300 + "x" + ")" * 150
+        try:
+            parse(src)
+        except ParseError as e:
+            assert "nested too deeply" in str(e)
+
+    def test_flat_sum_of_five_thousand_terms_evaluates(self):
+        e = parse("+".join(["x"] * 5000))
+        assert evaluate(e, 1.0, 0.0) == 5000.0

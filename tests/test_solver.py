@@ -29,7 +29,7 @@ from tsfrac.solver import (
 )
 from tsfrac.timefrac import l1_weights
 
-from oracles import gl_weights
+from oracles import gl_weights, weak_residual_reference
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 
@@ -489,6 +489,17 @@ class TestWeakResidual:
         tested = Solution(problem=problem, states=sol.states, forcing=sol.forcing - 1.0)
         r = weak_residual(tested, self._bump_psi(problem.grid), 64, 32)
         assert r > 0.1  # roughly int psi * (h_m * 1) for large m
+
+    def test_matches_per_node_convolutions(self):
+        # one product over all nodes sums in another order than np.convolve;
+        # the residual is a difference of O(1) terms, so the bound is absolute
+        f = lambda x, t: 0.5 * (1.0 + np.cos(np.pi * x)) * np.exp(-t)
+        problem = bump_problem(M=64, n=48, f_fn=f)
+        sol = solve(problem)
+        psi = self._bump_psi(problem.grid)
+        for m, n in ((8, 1), (64, 32), (16, 63)):
+            want = weak_residual_reference(sol, psi, m, n)
+            assert abs(weak_residual(sol, psi, m, n) - want) <= 1e-13
 
     def test_index_bounds(self):
         problem = bump_problem(M=16, n=8)
