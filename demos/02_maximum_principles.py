@@ -40,7 +40,7 @@ sol = solve(problem)
 nn = check_nonnegativity(sol)
 print(f"nonnegativity: {nn.status}, min value {nn.extremal_value:.3e} at {nn.location}")
 
-pb = check_parabolic_boundary(sol, "min")
+pb = check_parabolic_boundary(sol)
 print(f"parabolic boundary: {pb.status}, argmin tagged {pb.location_class.value}")
 
 # a hypothesis violation is a distinct outcome, not a theorem failure

@@ -1,10 +1,8 @@
-"""Discrete time-fractional calculus: weights, identities, inequalities.
+"""Discrete time-fractional calculus: weights, extremum signs, inequalities.
 
-Three layers of structure, each checked numerically below:
+Two layers of structure, each checked numerically below:
 
 * the L1 derivative agrees with the Grunwald-Letnikov sum on smooth signals;
-* the convolution-derivative product identity holds with a residual that
-  vanishes under refinement (and exactly, for linear probes);
 * at a discrete global maximum the fractional derivative of u - u(0) is
   nonnegative, and the convex-part inequalities hold exactly for any
   nonnegative nonincreasing kernel.
@@ -12,9 +10,8 @@ Three layers of structure, each checked numerically below:
 
 import numpy as np
 
-from tsfrac import ConvexProbe, caputo_l1, convex_inequality_check, rl_extremum_sign
-from tsfrac.kernels import TimeMesh, TimeSeries, monotone_regularized_kernel, regularized_kernel
-from tsfrac.timefrac import fundamental_identity_residual
+from tsfrac import caputo_l1, convex_inequality_check, rl_extremum_sign
+from tsfrac.kernels import TimeMesh, TimeSeries, monotone_regularized_kernel
 
 alpha = 0.5
 M = 2048
@@ -28,15 +25,6 @@ print(f"  l1: {caputo_l1(u, alpha, M):.6f}")
 # Grunwald-Letnikov weights: w_0 = 1, w_j = w_{j-1} (1 - (alpha + 1)/j)
 gl = np.concatenate(([1.0], np.cumprod(1.0 - (alpha + 1.0) / np.arange(1, M + 1))))
 print(f"  gl: {tau**-alpha * gl @ (v[M::-1] - v[0]):.6f}")
-
-print("\nproduct-identity residual for u(t) = t, quadratic probe, k mollified (m=16):")
-probe = ConvexProbe(H=lambda y: 0.5 * y**2, dH=lambda y: y)
-for Mk in (256, 1024, 4096):
-    tk = (1.0 / Mk) * np.arange(Mk + 2)
-    mesh = TimeMesh(tk[-1], Mk + 1)
-    k = regularized_kernel(alpha, 16, mesh)
-    r = fundamental_identity_residual(TimeSeries(tk[1], tk), probe, k, Mk)
-    print(f"  M = {Mk:5d}: residual at t = 1 is {r:+.3e}")
 
 print("\nextremum sign check on u = t(2-t) over [0, 2]:")
 M2 = 512

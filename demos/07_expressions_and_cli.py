@@ -14,10 +14,11 @@ import tempfile
 import numpy as np
 
 from tsfrac.cli import load_config, main
-from tsfrac.exprparse import evaluate, parse, to_str
+from tsfrac.exprparse import evaluate, parse
 
-expr = parse("max(0, 1 - x^2) * exp(-t)")
-print(f"parsed:        {to_str(expr)}")
+source = "max(0, 1 - x^2) * exp(-t)"
+expr = parse(source)
+print(f"parsed:        {source}")
 print(f"value (0, 0):  {evaluate(expr, 0.0, 0.0)}")
 print(f"value (.5, 1): {evaluate(expr, 0.5, 1.0):.6f}")
 print(f"on 5 nodes:    {evaluate(expr, np.linspace(-1.0, 1.0, 5), 0.0)}")  # x and t broadcast

@@ -3,12 +3,12 @@
 The library solves d^alpha/dt^alpha (u - u0) + (-Delta)^beta u = f
 (alpha, beta in (0,1)) on an interval with zero exterior condition, and
 ships the verification machinery that makes the maximum principles of
-that equation testable: discrete fractional-derivative identities and
-inequalities, M-matrix structure of the nonlocal operator, nonnegativity
+that equation testable: discrete fractional-derivative inequalities
+and extremum signs, M-matrix structure of the nonlocal operator, nonnegativity
 and parabolic-boundary checks, and a Mittag-Leffler relaxation oracle.
 
 Modules: kernels (power-law/mollified kernels, convolution,
-Mittag-Leffler), timefrac (L1 derivative, convexity identities),
+Mittag-Leffler), timefrac (L1 derivative, convexity inequalities),
 fraclap (fractional Laplacian assembly and energy form), solver
 (implicit stepping, weak residual), principles (maximum-principle
 harness), exprparse (config expressions), cli (command line).
@@ -49,14 +49,7 @@ from .solver import (
     solve,
     weak_residual,
 )
-from .timefrac import (
-    ConvexProbe,
-    caputo_l1,
-    convex_inequality_check,
-    fundamental_identity_residual,
-    l1_weights,
-    rl_extremum_sign,
-)
+from .timefrac import caputo_l1, convex_inequality_check, l1_weights, rl_extremum_sign
 
 __version__ = "0.1.0"
 
@@ -66,8 +59,7 @@ __all__ = [
     "TimeMesh", "TimeSeries", "g_kernel", "h_kernel",
     "regularized_kernel", "monotone_regularized_kernel", "convolve", "mittag_leffler",
     # timefrac
-    "ConvexProbe", "l1_weights", "caputo_l1",
-    "fundamental_identity_residual", "convex_inequality_check", "rl_extremum_sign",
+    "l1_weights", "caputo_l1", "convex_inequality_check", "rl_extremum_sign",
     # fraclap
     "SpaceGrid", "Field", "FracLapMatrix", "normalization_constant",
     "assemble_1d", "bilinear_a",

@@ -7,7 +7,8 @@ configured profile), ``convergence`` (mesh-refinement studies) and
 file drives everything; all validation errors are reported together.
 
 Exit codes: 0 success; 1 = a verification suite found a violation;
-2 = usage or config error; 3 = internal numeric error or out of memory.
+2 = usage or config error; 3 = internal numeric error (including a float
+overflow, division by zero or invalid operation) or out of memory.
 No environment variables, no network: flags and the config file are the
 whole interface, so runs are reproducible byte for byte.
 """
@@ -27,31 +28,22 @@ from . import exprparse, fraclap, kernels, principles, solver, timefrac
 
 __all__ = ["RunConfig", "load_config", "main"]
 
-_REQUIRED = {
-    "alpha": float,
-    "beta": float,
-    "a": float,
-    "b": float,
-    "n": int,
-    "T": float,
-    "M": int,
-    "u0": str,
-    "f": str,
-}
-_OPTIONAL = {
-    "m": int,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "m_ladder": str,
+# Every config key and its JSON type; the keys with a default are optional.
+_TYPES = {
+    "alpha": float, "beta": float, "a": float, "b": float, "n": int, "T": float, "M": int,
+    "u0": str, "f": str, "m": int, "trials": int, "seed": int, "out": str, "m_ladder": str,
 }
 _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256"}
 # Most bytes a config's solve may be estimated to need, checked before
 # anything is allocated: three n x n matrices (dense A and the buffer that
 # holds b_0 I + A, its factor and its inverse, with room to spare), plus the
 # states and the sampled forcing ((M+1) x n each).  verify's trials run in
-# batches whose states and forcing stay under 4 MiB, or one trial at a time.
+# batches whose states and forcing stay under 4 MiB, or one trial at a time,
+# and keep one report and one seed per trial (888 bytes each, measured at
+# n = M = 1), estimated at 1 KiB per trial.
 _MEMORY_BUDGET = 2 * 2**30
+_TRIAL_BYTES = 2**10
+_MAX_INT = int(sys.float_info.max)  # largest m that is still a finite float
 
 
 class ConfigError(ValueError):
@@ -112,33 +104,21 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also integers past 4300 digits, deep nesting
         raise ConfigError(f"malformed config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of scalars and strings")
 
-    errors = []
-    known = set(_REQUIRED) | set(_OPTIONAL)
-    for key in raw:
-        if key not in known:
-            errors.append(f"unknown key {key!r}")
-    vals = {}
-    for key, typ in _REQUIRED.items():
-        if key not in raw:
-            errors.append(f"missing key {key!r}")
-            continue
-        try:
-            vals[key] = _coerce(key, raw[key], typ)
-        except ConfigError as e:
-            errors.append(str(e))
-    for key, typ in _OPTIONAL.items():
+    errors = [f"unknown key {key!r}" for key in raw if key not in _TYPES]
+    vals = dict(_DEFAULTS)  # an optional key that fails its type check keeps its default
+    for key, typ in _TYPES.items():
         if key in raw:
             try:
                 vals[key] = _coerce(key, raw[key], typ)
             except ConfigError as e:
                 errors.append(str(e))
-        else:
-            vals[key] = _DEFAULTS[key]
+        elif key not in _DEFAULTS:
+            errors.append(f"missing key {key!r}")
 
     def have(*keys):
         return all(k in vals for k in keys)
@@ -157,19 +137,30 @@ def load_config(path: str | Path) -> RunConfig:
         errors.append(f"key 'T': must be positive, got {vals['T']}")
     if have("M") and vals["M"] < 1:
         errors.append(f"key 'M': need at least one time step, got {vals['M']}")
-    if have("n", "M") and vals["n"] >= 1 and vals["M"] >= 1:
+    sized = have("n", "M") and vals["n"] >= 1 and vals["M"] >= 1
+    if sized:
         n, M = vals["n"], vals["M"]
         matrices, arrays = 3 * 8 * n * n, 2 * 8 * (M + 1) * n
         if matrices + arrays > _MEMORY_BUDGET:
+            sized = False
             key = "n" if matrices >= arrays else "M"
             errors.append(
-                f"key {key!r}: n={n} and M={M} need about {(matrices + arrays) / 2**30:.1f} GiB, "
-                f"over the {_MEMORY_BUDGET // 2**30} GiB budget"
+                f"key {key!r}: n={_show(n)} and M={_show(M)} need about "
+                f"{_gib(matrices + arrays)} GiB, over the {_MEMORY_BUDGET // 2**30} GiB budget"
             )
-    if have("m") and vals["m"] < 1:
-        errors.append(f"key 'm': must be a positive integer, got {vals['m']}")
-    if have("trials") and vals["trials"] < 1:
+    if sized and have("a", "b", "T") and vals["a"] < vals["b"] and vals["T"] > 0:
+        errors += _float_range_errors(vals["a"], vals["b"], vals["n"], vals["T"], vals["M"])
+    if not 1 <= vals["m"] <= _MAX_INT:
+        errors.append(f"key 'm': must be a positive integer of at most 1.8e308, got {_show(vals['m'])}")
+    if vals["trials"] < 1:
         errors.append(f"key 'trials': must be >= 1, got {vals['trials']}")
+    elif vals["trials"] * _TRIAL_BYTES > _MEMORY_BUDGET:
+        errors.append(
+            f"key 'trials': {_show(vals['trials'])} trials need about "
+            f"{_gib(vals['trials'] * _TRIAL_BYTES)} GiB, over the {_MEMORY_BUDGET // 2**30} GiB budget"
+        )
+    if vals["seed"] < 0:
+        errors.append(f"key 'seed': must be a non-negative integer, got {vals['seed']}")
 
     exprs = {}
     for key in ("u0", "f"):
@@ -180,36 +171,53 @@ def load_config(path: str | Path) -> RunConfig:
         except exprparse.ParseError as e:
             errors.append(f"key {key!r}: {e}")
 
-    ladder = ()
-    if "m_ladder" in vals:
-        try:
-            ladder = tuple(int(s) for s in str(vals["m_ladder"]).split(","))
-            if not ladder or any(m < 1 for m in ladder):
-                raise ValueError
-        except ValueError:
-            errors.append(
-                f"key 'm_ladder': expected comma-separated positive integers, got {vals['m_ladder']!r}"
-            )
+    try:
+        ladder = tuple(int(s) for s in vals["m_ladder"].split(","))
+        if any(not 1 <= m <= _MAX_INT for m in ladder):
+            raise ValueError
+    except ValueError:
+        errors.append(
+            "key 'm_ladder': expected comma-separated positive integers of at most 1.8e308, "
+            f"got {_show(vals['m_ladder'])}"
+        )
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    scalars = ("alpha", "beta", "a", "b", "n", "T", "M", "m", "trials", "seed", "out")
     return RunConfig(
-        alpha=vals["alpha"],
-        beta=vals["beta"],
-        a=vals["a"],
-        b=vals["b"],
-        n=vals["n"],
-        T=vals["T"],
-        M=vals["M"],
-        u0_expr=exprs["u0"],
-        f_expr=exprs["f"],
-        m=vals["m"],
-        trials=vals["trials"],
-        seed=vals["seed"],
-        out=vals["out"],
-        m_ladder=ladder,
-        raw=raw,
+        **{key: vals[key] for key in scalars},
+        u0_expr=exprs["u0"], f_expr=exprs["f"], m_ladder=ladder, raw=raw,
     )
+
+
+def _show(value) -> str:
+    """An integer or string for an error line: itself, or its length past 40 characters."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"<{len(text)}-digit integer>" if isinstance(value, int) else f"<{len(text)}-character string>"
+
+
+def _gib(nbytes: int) -> str:
+    return f"{nbytes / 2**30:.1f}" if nbytes < 2**1000 else "more than 1e290"
+
+
+def _float_range_errors(a: float, b: float, n: int, T: float, M: int) -> list:
+    """Why float64 cannot hold n interior nodes on (a, b) or M steps on [0, T]: [] if it can.
+
+    The assembly divides by h^2, so h = (b - a)/(n + 1) must square to a
+    positive finite number.  The L1 weights scale as tau^(-alpha), so
+    tau = T/M must be a normal float; then every tau^(-alpha) is finite.
+    """
+    errors = []
+    h = (b - a) / (n + 1)
+    if not math.isfinite(b - a):
+        errors.append(f"keys 'a','b': the width b - a of [{a}, {b}] overflows")
+    elif not 0.0 < h * h < math.inf:
+        errors.append(f"keys 'a','b': with n={n} the spacing h = (b - a)/(n + 1) = {h!r} squares to {h * h!r}")
+    if not T / M >= sys.float_info.min:
+        errors.append(f"key 'T': with M={M} the time step T/M = {T / M!r} is below the smallest normal float")
+    return errors
 
 
 def _coerce(key, value, typ):
@@ -238,7 +246,10 @@ def _fmt(x: float) -> str:
 
 def _outdir(config: RunConfig, override: str | None) -> Path:
     out = Path(override if override is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as e:  # a NUL character in the path
+        raise ConfigError(f"output directory {str(out)!r}: {e}") from e
     return out
 
 
@@ -309,7 +320,7 @@ def cmd_verify(config: RunConfig, suite: str, out_override: str | None = None) -
                     "the configured expressions sample negative values"
                 )
         elif s == "boundary":
-            profile = principles.check_parabolic_boundary(sol, "min")
+            profile = principles.check_parabolic_boundary(sol)
             if profile.status == "hypotheses-violated":
                 raise ConfigError(
                     "parabolic-boundary (min) check demands f >= 0; "
@@ -409,6 +420,9 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
     errs = []
     levels = ((32, 24), (64, 48), (128, 96))
     for Mt, nx in levels:
+        problems = _float_range_errors(config.a, config.b, nx, config.T, Mt)
+        if problems:
+            raise ConfigError(f"convergence: {problems[0]}")
         grid = fraclap.SpaceGrid(config.a, config.b, nx)
         mesh = kernels.TimeMesh(config.T, Mt)
         x = grid.nodes()
@@ -496,17 +510,20 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         config = load_config(args.config)
-        if args.command == "solve":
-            return cmd_solve(config, args.out)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite, args.out)
-        if args.command == "convergence":
-            return cmd_convergence(config, args.out)
-        return cmd_kernel_table(config, args.out)
+        # A float overflow, division by zero or invalid operation that no
+        # routine handles itself is a numeric error: one line, exit 3.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "solve":
+                return cmd_solve(config, args.out)
+            if args.command == "verify":
+                return cmd_verify(config, args.suite, args.out)
+            if args.command == "convergence":
+                return cmd_convergence(config, args.out)
+            return cmd_kernel_table(config, args.out)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, ArithmeticError) as e:
         print(f"internal numeric error: {e}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -37,7 +37,6 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "to_str",
     "FUNCTIONS",
     "MAX_DEPTH",
 ]
@@ -290,33 +289,3 @@ def evaluate(e: Expr, x, t):
     out = np.array(np.broadcast_to(vals[0], np.broadcast_shapes(env["x"].shape, env["t"].shape)))
     return float(out) if out.ndim == 0 else out
 
-
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _render(e: Expr, parent_level: int, right_of_same=False) -> str:
-    if isinstance(e, Num):
-        s = repr(e.value)
-        return s[:-2] if s.endswith(".0") else s
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(_render(a, 0) for a in e.args)})"
-    if isinstance(e, Neg):
-        inner = _render(e.arg, _LEVEL["neg"])
-        s = f"-{inner}"
-        return f"({s})" if parent_level > _LEVEL["neg"] else s
-    lvl = _LEVEL[e.op]
-    if e.op == "^":
-        left = _render(e.left, lvl + 1)  # left operand must bind tighter
-        right = _render(e.right, _LEVEL["neg"])  # right side admits unary minus
-    else:
-        left = _render(e.left, lvl)
-        right = _render(e.right, lvl + 1)  # - and / are left-associative
-    s = f"{left} {e.op} {right}"
-    return f"({s})" if parent_level > lvl else s
-
-
-def to_str(e: Expr) -> str:
-    """Pretty-print with minimal parentheses; parse(to_str(e)) reproduces e."""
-    return _render(e, 0)

@@ -116,7 +116,8 @@ def h_kernel(m: int, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("h_kernel requires t >= 0")
-    out = m * np.exp(-m * t)
+    with np.errstate(over="ignore"):  # m t past float range: exp(-inf) = 0 is the limit
+        out = m * np.exp(-m * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -193,18 +194,22 @@ def convolve(k: TimeSeries, u: TimeSeries) -> TimeSeries:
     return TimeSeries(tau, out)
 
 
+_ML_SERIES_TERMS = 100_000  # 17,600 terms suffice at alpha = 0.001 on [-1, 1]
+
+
 def _ml_series(alpha: float, z: float) -> float:
     """Power series sum_k z^k/Gamma(alpha k + 1), term-ratio stopping.
 
     For |z| <= 1 the terms fall below 1e-15 of the sum once
     Gamma(alpha k + 1) passes about 1e15, near alpha k = 18, so the term
-    limit grows as 40/alpha (17,600 terms at alpha = 0.001, z = -1).
+    count grows as 18/alpha (17,600 terms at alpha = 0.001, z = -1).  It is
+    capped at _ML_SERIES_TERMS, which covers alpha down to about 2e-4;
+    past the cap the series raises RuntimeError.
     """
     terms = [1.0]
     total = 1.0
     loga = math.log(abs(z)) if z != 0.0 else -math.inf
-    limit = max(10_000, math.ceil(40.0 / alpha))
-    for k in range(1, limit + 1):
+    for k in range(1, _ML_SERIES_TERMS + 1):
         try:
             mag = math.exp(k * loga - math.lgamma(alpha * k + 1.0))
         except OverflowError:
@@ -218,7 +223,7 @@ def _ml_series(alpha: float, z: float) -> float:
         if abs(term) < 1e-15 * abs(total):
             return float(math.fsum(terms))
     raise RuntimeError(
-        f"Mittag-Leffler series did not converge within {limit} terms "
+        f"Mittag-Leffler series did not converge within {_ML_SERIES_TERMS} terms "
         f"(alpha={alpha}, z={z})"
     )
 

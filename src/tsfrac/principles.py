@@ -73,7 +73,7 @@ def classify(grid: SpaceGrid, mesh: TimeMesh, i: int, n: int) -> BoundaryClass:
 class PrincipleReport:
     """Outcome of one maximum-principle check (or an aggregate of trials)."""
 
-    kind: str  # nonneg | boundary-max | boundary-min | weak-nonneg
+    kind: str  # nonneg | boundary-min | weak-nonneg
     status: str  # pass | fail | hypotheses-violated
     extremal_value: float
     location: tuple[int, int]  # (node index on the extended grid, time index)
@@ -161,40 +161,34 @@ def check_nonnegativity(sol: Solution) -> PrincipleReport:
     )
 
 
-def check_parabolic_boundary(sol: Solution, sign: str) -> PrincipleReport:
-    """Extremum-location check: the global extremum sits on the parabolic boundary.
+def check_parabolic_boundary(sol: Solution) -> PrincipleReport:
+    """Minimum-location check: with f >= 0 the global minimum sits on the parabolic boundary.
 
-    For sign="min" the hypothesis is f >= 0 (the discrete solution is then
-    a supersolution); for sign="max" it is f <= 0.  The check is the
-    argmin/argmax-membership form: the first attainment of the global
-    extremum over the closed cylinder (ghost columns included) must be
-    classified initial or lateral, never interior or terminal.
+    The hypothesis f >= 0 makes the discrete solution a supersolution.  The
+    check is the argmin-membership form: the first attainment of the global
+    minimum over the closed cylinder (ghost columns included) must be
+    classified initial or lateral, never interior or terminal.  The
+    equation is linear, so the maximum statement (f <= 0) is this check
+    applied to the solution for -u0 and -f: a maximum of u is a minimum of -u.
     """
-    if sign not in ("min", "max"):
-        raise ValueError(f"sign must be 'min' or 'max', got {sign!r}")
-    kind = f"boundary-{sign}"
-    if sign == "min" and np.any(sol.forcing < 0.0):
+    kind = "boundary-min"
+    if np.any(sol.forcing < 0.0):
         return _hypotheses_report(kind, "forcing takes negative values")
-    if sign == "max" and np.any(sol.forcing > 0.0):
-        return _hypotheses_report(kind, "forcing takes positive values")
-    # A maximum of u is a minimum of -u.
-    states = sol.states if sign == "min" else -sol.states
-    vmin, loc = _extended_argmin(states)
-    vext = vmin if sign == "min" else -vmin
+    vmin, loc = _extended_argmin(sol.states)
     cls = classify(sol.problem.grid, sol.problem.mesh, *loc)
     ok = cls in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
     # Degenerate near-ties: an interior attainment within 1e-12 of the data
-    # scale of the parabolic-boundary extremum is not a violation.
+    # scale of the parabolic-boundary minimum is not a violation.
     if not ok:
-        pb_best = min(float(np.min(states[0])), 0.0)  # initial slice and lateral zeros
+        pb_best = min(float(np.min(sol.states[0])), 0.0)  # initial slice and lateral zeros
         ok = abs(vmin - pb_best) <= 1e-12 * _data_scale(sol)
     return PrincipleReport(
         kind=kind,
         status="pass" if ok else "fail",
-        extremal_value=vext,
+        extremal_value=vmin,
         location=loc,
         location_class=cls,
-        violation=0.0 if ok else abs(vext),
+        violation=0.0 if ok else abs(vmin),
     )
 
 
@@ -205,7 +199,7 @@ _MODES = 5  # Fourier modes in each random bump
 class TrialConfig:
     """Randomized-trial specification for the principle checks."""
 
-    kind: str  # nonneg | boundary-min | boundary-max | weak-nonneg
+    kind: str  # nonneg | boundary-min | weak-nonneg
     trials: int
     seed: int
     alphas: tuple
@@ -218,37 +212,29 @@ class TrialConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if len(self.alphas) == 0 or len(self.betas) == 0:
             raise ValueError("empty (alpha, beta) lattice")
-        if self.kind not in ("nonneg", "boundary-min", "boundary-max", "weak-nonneg"):
+        if self.kind not in ("nonneg", "boundary-min", "weak-nonneg"):
             raise ValueError(f"unknown trial kind {self.kind!r}")
 
 
-def _clip(vals: np.ndarray, clip: str) -> np.ndarray:
-    if clip == "nonneg":
-        return np.maximum(vals, 0.0)
-    if clip == "nonpos":
-        return np.minimum(vals, 0.0)
-    return vals
+def _random_bump(rng, grid: SpaceGrid) -> np.ndarray:
+    """Random Fourier bump of _MODES sine modes on the grid nodes."""
+    coeffs = rng.uniform(-1.0, 1.0, _MODES)
+    s = (grid.nodes() - grid.a) / (grid.b - grid.a)
+    return sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
 
 
-def _random_bump(rng, x: np.ndarray, a: float, b: float, modes: int, clip: str) -> np.ndarray:
-    """Clipped random Fourier bump on the grid nodes."""
-    coeffs = rng.uniform(-1.0, 1.0, modes)
-    s = (x - a) / (b - a)
-    return _clip(sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs)), clip)
-
-
-def _random_forcing(rng, grid: SpaceGrid, modes: int, clip: str):
-    """Separable random forcing (x, t) -> bump(x) * envelope(t), sign-clipped.
+def _random_forcing(rng, grid: SpaceGrid):
+    """Separable random forcing (x, t) -> max(bump(x) * envelope(t), 0).
 
     The bump is evaluated once on the grid nodes, which is where the solver
     samples the forcing; t may be a scalar or a column of times.
     """
-    bump = _random_bump(rng, grid.nodes(), grid.a, grid.b, modes, "none")
+    bump = _random_bump(rng, grid)
     omega = rng.uniform(0.0, 4.0)
     phase = rng.uniform(0.0, 2 * np.pi)
 
     def f(x, t):
-        return _clip(bump * np.cos(omega * t + phase), clip)
+        return np.maximum(bump * np.cos(omega * t + phase), 0.0)
 
     return f
 
@@ -256,24 +242,16 @@ def _random_forcing(rng, grid: SpaceGrid, modes: int, clip: str):
 def _trial_data(kind: str, seed: int, grid: SpaceGrid):
     """The initial values and the forcing closure of one trial, drawn from its seed."""
     rng = np.random.default_rng(seed)
-    x = grid.nodes()
-    if kind == "nonneg":
-        u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "nonneg")
-        f = _random_forcing(rng, grid, _MODES, "nonneg")
-    elif kind == "boundary-min":
-        u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "none")
-        f = _random_forcing(rng, grid, _MODES, "nonneg")
-    elif kind == "boundary-max":
-        u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "none")
-        f = _random_forcing(rng, grid, _MODES, "nonpos")
-    else:
-        # weak-nonneg: manufacture a supersolution of the slack-free
-        # problem by adding a strictly positive forcing slack; the
-        # conclusion (nonnegativity) is then checked exactly.
-        u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "nonneg")
-        base = _random_forcing(rng, grid, _MODES, "nonneg")
+    u0 = _random_bump(rng, grid)
+    if kind != "boundary-min":
+        u0 = np.maximum(u0, 0.0)
+    f = _random_forcing(rng, grid)
+    if kind == "weak-nonneg":
+        # Manufacture a supersolution of the slack-free problem by adding a
+        # strictly positive forcing slack; the conclusion (nonnegativity)
+        # is then checked exactly.
         slack = float(rng.uniform(0.5, 1.5))
-        f = lambda xs, t, base=base, slack=slack: base(xs, t) + slack
+        f = lambda xs, t, base=f, slack=slack: base(xs, t) + slack
     return u0, f
 
 
@@ -291,14 +269,11 @@ def _run_batch(kind: str, orders: FracOrders, grid: SpaceGrid, mesh: TimeMesh, A
         forcing[:, k] = f(x, t)
         closures.append(f)
     states = l1_states(orders.alpha, grid, mesh, A, u0, forcing)
+    check = check_parabolic_boundary if kind == "boundary-min" else check_nonnegativity
     reports = []
     for k, f in enumerate(closures):
         problem = ProblemSpec(orders, grid, mesh, Field(grid, u0[k]), f)
-        sol = Solution(problem=problem, states=states[:, k], forcing=forcing[:, k])
-        if kind in ("nonneg", "weak-nonneg"):
-            reports.append(check_nonnegativity(sol))
-        else:
-            reports.append(check_parabolic_boundary(sol, kind.split("-")[1]))
+        reports.append(check(Solution(problem=problem, states=states[:, k], forcing=forcing[:, k])))
     return reports
 
 

@@ -3,14 +3,11 @@
 The regularized fractional derivative d^alpha/dt^alpha (u - u(0)) is
 discretized by the L1 scheme (piecewise-linear convolution quadrature,
 positive decreasing weights, order 2-alpha).  On top of the L1
-derivative sit three verification tools:
+derivative sit two verification tools:
 
-* a residual evaluator for the convolution-derivative product identity
-  H'(u) d/dt(k*u) = d/dt(k*H(u)) + (H'(u)u - H(u)) k
-                    + int (H(u(t-s)) - H(u(t)) - H'(u(t))[u(t-s)-u(t)]) (-k') ds,
-  valid for any C^1 function H and any W^{1,1} kernel k;
-* per-index checkers for the convex-part inequalities that follow from it
-  when H is the squared positive part and k is nonnegative nonincreasing;
+* per-index checkers for the convex-part inequalities that follow from
+  the convolution-derivative product identity when H is the squared
+  positive part and k is nonnegative nonincreasing;
 * the extremum sign check: at a discrete global max (min) the L1
   derivative of u - u(0) is >= 0 (<= 0).
 """
@@ -19,18 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .kernels import TimeSeries, check_order, convolve
 
 __all__ = [
-    "ConvexProbe",
     "ConvexVerdicts",
     "l1_weights",
     "caputo_l1",
-    "fundamental_identity_residual",
     "convex_inequality_check",
     "rl_extremum_sign",
 ]
@@ -61,59 +55,6 @@ def caputo_l1(u: TimeSeries, alpha: float, n: int) -> float:
     b = l1_weights(alpha, u.tau, max(n - 1, 0))[:n]
     v = u.values
     return float(np.dot(b, (v[1 : n + 1] - v[:n])[::-1]))
-
-
-@dataclass(frozen=True)
-class ConvexProbe:
-    """A C^1 convex function H with derivative dH, both numpy-vectorized."""
-
-    H: Callable[[np.ndarray], np.ndarray]
-    dH: Callable[[np.ndarray], np.ndarray]
-
-
-def fundamental_identity_residual(
-    u: TimeSeries, probe: ConvexProbe, k: TimeSeries, n: int
-) -> float:
-    """LHS - RHS of the convolution-derivative product identity at t_n.
-
-    Discrete conventions, fixed once: left-rectangle causal convolutions,
-    forward difference for d/dt (so samples up to n+1 are required),
-    centered differences for dk/ds (one-sided at the ends), trapezoidal
-    quadrature for the remainder integral.  For linear H the residual is
-    zero to roundoff; for smooth u it shrinks under mesh refinement.
-
-    The kernel must be a regular (W^{1,1}-type) kernel sampled on the
-    mesh; a sample that is not finite (raw power-law kernel at t = 0) is
-    rejected.
-    """
-    if len(k) != len(u):
-        raise ValueError(f"length mismatch: kernel {len(k)} vs signal {len(u)}")
-    if abs(k.tau - u.tau) > 1e-14 * max(k.tau, u.tau):
-        raise ValueError(f"mesh mismatch: tau {k.tau} vs {u.tau}")
-    if not np.all(np.isfinite(k.values)):
-        raise ValueError("kernel samples must be finite; use a regularized kernel")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n + 1 > len(u) - 1:
-        raise ValueError(f"forward difference at n={n} needs sample n+1; series too short")
-    tau = u.tau
-    v = u.values
-    Hu = np.asarray(probe.H(v), dtype=float)
-    conv_u = convolve(k, u).values
-    conv_H = convolve(k, TimeSeries(tau, Hu)).values
-    un = v[n]
-    dHn = float(probe.dH(un))
-    Hn = float(probe.H(un))
-
-    lhs = dHn * (conv_u[n + 1] - conv_u[n]) / tau
-    term_conv = (conv_H[n + 1] - conv_H[n]) / tau
-    term_jump = (-Hn + dHn * un) * k.values[n]
-    # Remainder integral over s in [0, t_n]; s_j = j*tau pairs with u_{n-j}.
-    rev = v[n::-1]
-    bracket = np.asarray(probe.H(rev), dtype=float) - Hn - dHn * (rev - un)
-    dk = np.gradient(k.values, tau)
-    term_rem = float(np.trapezoid(bracket * (-dk[: n + 1]), dx=tau))
-    return float(lhs - (term_conv + term_jump + term_rem))
 
 
 @dataclass(frozen=True)

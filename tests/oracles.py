@@ -4,9 +4,10 @@ Each one computes a quantity by a route the library does not take:
 adaptive quadrature of the fractional Laplacian's definition, the
 positive/negative split of a grid function, the Grunwald-Letnikov
 binomial weights, the randomized trials run one solve per trial, the
-mollified weak residual with one discrete convolution per node, and the
+mollified weak residual with one discrete convolution per node, the
 expression language evaluated one scalar (x, t) at a time by a recursive
-tree walk with Python's math module.
+tree walk with Python's math module, and the printer whose output parses
+back to the same tree.
 """
 
 import math
@@ -14,11 +15,10 @@ import math
 import numpy as np
 from scipy import integrate
 
-from tsfrac.exprparse import BinOp, Expr, Neg, Num, Var
+from tsfrac.exprparse import BinOp, Call, Expr, Neg, Num, Var
 
 from tsfrac.fraclap import Field, assemble_1d, bilinear_a, normalization_constant
 from tsfrac.principles import (
-    _MODES,
     PrincipleReport,
     TrialConfig,
     _random_bump,
@@ -93,7 +93,6 @@ def run_trials_reference(config: TrialConfig) -> PrincipleReport:
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
     lattice = [(float(al), float(be)) for al in config.alphas for be in config.betas]
     grid, mesh = config.grid, config.mesh
-    x = grid.nodes()
 
     matrices = {}
     worst: PrincipleReport | None = None
@@ -104,31 +103,23 @@ def run_trials_reference(config: TrialConfig) -> PrincipleReport:
             matrices[beta] = assemble_1d(grid, beta)
         A = matrices[beta]
 
-        if config.kind == "nonneg":
-            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "nonneg")
-            f = _random_forcing(rng, grid, _MODES, "nonneg")
-        elif config.kind == "boundary-min":
-            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "none")
-            f = _random_forcing(rng, grid, _MODES, "nonneg")
-        elif config.kind == "boundary-max":
-            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "none")
-            f = _random_forcing(rng, grid, _MODES, "nonpos")
-        else:
-            # weak-nonneg: manufacture a supersolution of the slack-free
-            # problem by adding a strictly positive forcing slack; the
-            # conclusion (nonnegativity) is then checked exactly.
-            u0 = _random_bump(rng, x, grid.a, grid.b, _MODES, "nonneg")
-            base = _random_forcing(rng, grid, _MODES, "nonneg")
+        u0 = _random_bump(rng, grid)
+        if config.kind != "boundary-min":
+            u0 = np.maximum(u0, 0.0)
+        f = _random_forcing(rng, grid)
+        if config.kind == "weak-nonneg":
+            # a supersolution of the slack-free problem: strictly positive
+            # forcing slack; the conclusion (nonnegativity) is checked exactly
             slack = float(rng.uniform(0.5, 1.5))
-            f = lambda xs, t, base=base, slack=slack: base(xs, t) + slack
+            f = lambda xs, t, base=f, slack=slack: base(xs, t) + slack
 
         problem = ProblemSpec(FracOrders(alpha, beta), grid, mesh, Field(grid, u0), f)
         sol = solve(problem, A=A)
 
-        if config.kind in ("nonneg", "weak-nonneg"):
-            report = check_nonnegativity(sol)
+        if config.kind == "boundary-min":
+            report = check_parabolic_boundary(sol)
         else:
-            report = check_parabolic_boundary(sol, config.kind.split("-")[1])
+            report = check_nonnegativity(sol)
 
         if worst is None or report.violation > worst.violation or (
             report.status != "pass" and worst.status == "pass"
@@ -229,3 +220,34 @@ def evaluate_reference(e: Expr, x: float, t: float) -> float:
     if e.name == "max":
         return max(a[0], a[1])
     return min(a[0], a[1])
+
+
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _render(e: Expr, parent_level: int) -> str:
+    if isinstance(e, Num):
+        s = repr(e.value)
+        return s[:-2] if s.endswith(".0") else s
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Call):
+        return f"{e.name}({', '.join(_render(a, 0) for a in e.args)})"
+    if isinstance(e, Neg):
+        inner = _render(e.arg, _LEVEL["neg"])
+        s = f"-{inner}"
+        return f"({s})" if parent_level > _LEVEL["neg"] else s
+    lvl = _LEVEL[e.op]
+    if e.op == "^":
+        left = _render(e.left, lvl + 1)  # left operand must bind tighter
+        right = _render(e.right, _LEVEL["neg"])  # right side admits unary minus
+    else:
+        left = _render(e.left, lvl)
+        right = _render(e.right, lvl + 1)  # - and / are left-associative
+    s = f"{left} {e.op} {right}"
+    return f"({s})" if parent_level > lvl else s
+
+
+def to_str(e: Expr) -> str:
+    """Pretty-print with minimal parentheses; parse(to_str(e)) reproduces e."""
+    return _render(e, 0)

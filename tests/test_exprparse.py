@@ -16,8 +16,9 @@ from tsfrac.exprparse import (
     Var,
     evaluate,
     parse,
-    to_str,
 )
+
+from oracles import to_str
 
 GOLDEN = [
     "1 - x^2",

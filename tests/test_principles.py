@@ -23,11 +23,17 @@ from tsfrac.principles import (
     classify,
     run_trials,
 )
-from tsfrac.solver import FracOrders, ProblemSpec, solve
+from tsfrac.solver import FracOrders, ProblemSpec, Solution, solve
 
 from oracles import run_trials_reference
 
 ZERO_F = lambda x, t: np.zeros_like(x)
+
+
+def negated(sol):
+    """sol with its states and forcing negated: the scheme is linear, so this
+    is the solution for -u0 and -f."""
+    return Solution(problem=sol.problem, states=-sol.states, forcing=-sol.forcing)
 
 
 def small_problem(u0_vals, f=ZERO_F, alpha=0.5, beta=0.5, n=16, M=12):
@@ -115,19 +121,23 @@ class TestParabolicBoundary:
         u0 = np.maximum(0.0, 1.0 - 4.0 * x**2)
         f = lambda xx, t: 0.3 * (1.0 + np.cos(np.pi * xx))
         sol = solve(small_problem(u0, f=f))
-        report = check_parabolic_boundary(sol, "min")
+        report = check_parabolic_boundary(sol)
         assert report.status == "pass"
         assert report.extremal_value == pytest.approx(0.0, abs=1e-14)
         assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
 
     def test_sign_flipped_mirror(self):
+        # The max statement (f <= 0: the maximum sits on the parabolic
+        # boundary) is the min check on the negated solution.
         x = SpaceGrid(-1.0, 1.0, 16).nodes()
         u0 = -np.maximum(0.0, 1.0 - 4.0 * x**2)
         f = lambda xx, t: -0.3 * (1.0 + np.cos(np.pi * xx))
         sol = solve(small_problem(u0, f=f))
-        report = check_parabolic_boundary(sol, "max")
+        report = check_parabolic_boundary(negated(sol))
         assert report.status == "pass"
-        assert report.extremal_value == pytest.approx(0.0, abs=1e-14)
+        assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
+        assert -report.extremal_value == pytest.approx(0.0, abs=1e-14)
+        assert -report.extremal_value == max(float(np.max(sol.states)), 0.0)
 
     def test_mixed_sign_initial_data_argmin_never_terminal_interior(self):
         rng = np.random.default_rng(71)
@@ -141,19 +151,14 @@ class TestParabolicBoundary:
                 di * (1.0 + np.sin((k + 1) * np.pi * (xx + 1) / 2) ** 2) for k, di in enumerate(d)
             )
             sol = solve(small_problem(u0, f=f, n=24, M=16))
-            report = check_parabolic_boundary(sol, "min")
+            report = check_parabolic_boundary(sol)
             assert report.status == "pass"
             assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
 
     def test_wrong_sign_hypothesis_flagged(self):
         sol = solve(small_problem(np.zeros(16), f=lambda x, t: -np.ones_like(x)))
-        assert check_parabolic_boundary(sol, "min").status == "hypotheses-violated"
-        assert check_parabolic_boundary(sol, "max").status == "pass"
-
-    def test_bad_mode(self):
-        sol = solve(small_problem(np.zeros(16)))
-        with pytest.raises(ValueError):
-            check_parabolic_boundary(sol, "extremum")
+        assert check_parabolic_boundary(sol).status == "hypotheses-violated"
+        assert check_parabolic_boundary(negated(sol)).status == "pass"
 
 
 class TestRunTrials:
@@ -184,10 +189,6 @@ class TestRunTrials:
         report = run_trials(self._config(kind="boundary-min", trials=8))
         assert report.status == "pass"
 
-    def test_boundary_max_trials_pass(self):
-        report = run_trials(self._config(kind="boundary-max", trials=8))
-        assert report.status == "pass"
-
     def test_weak_trials_pass(self):
         report = run_trials(self._config(kind="weak-nonneg", trials=4))
         assert report.status == "pass"
@@ -205,16 +206,20 @@ class TestRunTrials:
             )
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            TrialConfig(
-                kind="nonneg",
-                trials=0,
-                seed=0,
-                alphas=(0.5,),
-                betas=(0.5,),
-                grid=SpaceGrid(-1.0, 1.0, 8),
-                mesh=TimeMesh(1.0, 4),
-            )
+        # and a kind that is not a trial kind: the max statement is the
+        # boundary-min check on -u, so there is no boundary-max kind
+        for kind, trials, message in (("nonneg", 0, "at least one trial"),
+                                      ("boundary-max", 1, "unknown trial kind")):
+            with pytest.raises(ValueError, match=message):
+                TrialConfig(
+                    kind=kind,
+                    trials=trials,
+                    seed=0,
+                    alphas=(0.5,),
+                    betas=(0.5,),
+                    grid=SpaceGrid(-1.0, 1.0, 8),
+                    mesh=TimeMesh(1.0, 4),
+                )
 
     def test_json_schema(self):
         report = run_trials(self._config(trials=3))
@@ -225,7 +230,7 @@ class TestRunTrials:
         assert [0.3, 0.4] in data["lattice"]
 
 
-KINDS = ("nonneg", "boundary-min", "boundary-max", "weak-nonneg")
+KINDS = ("nonneg", "boundary-min", "weak-nonneg")
 
 
 def one_point(kind="nonneg", trials=20, seed=0, n=128, M=256):

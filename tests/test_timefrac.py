@@ -8,25 +8,88 @@ and the analytic weight ratios serve as the weight-table oracles; the
 Grunwald-Letnikov sum is the independent oracle for the L1 derivative.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from tsfrac.kernels import TimeMesh, TimeSeries, monotone_regularized_kernel, regularized_kernel
-from tsfrac.timefrac import (
-    ConvexProbe,
-    caputo_l1,
-    convex_inequality_check,
-    fundamental_identity_residual,
-    l1_weights,
-    rl_extremum_sign,
+from tsfrac.kernels import (
+    TimeMesh,
+    TimeSeries,
+    convolve,
+    monotone_regularized_kernel,
+    regularized_kernel,
 )
+from tsfrac.timefrac import caputo_l1, convex_inequality_check, l1_weights, rl_extremum_sign
 
 from oracles import gl_weights
 
 D_HALF_T_AT_1 = 1.1283791670955126  # 1/Gamma(1.5)
 D_HALF_T2_AT_1 = 1.5045055561273501  # 2/Gamma(2.5)
 D_HALF_T2M2T_AT_1 = -0.7522527780636750  # 2/Gamma(2.5) - 2/Gamma(1.5)
+
+# The convolution-derivative product identity of the paper,
+#   H'(u) d/dt(k*u) = d/dt(k*H(u)) + (H'(u)u - H(u)) k
+#                     + int (H(u(t-s)) - H(u(t)) - H'(u(t))[u(t-s)-u(t)]) (-k') ds,
+# valid for any C^1 function H and any W^{1,1} kernel k.  The convex-part
+# inequalities that timefrac checks follow from it; its residual is
+# evaluated here only.
+
+
+@dataclass(frozen=True)
+class ConvexProbe:
+    """A C^1 convex function H with derivative dH, both numpy-vectorized."""
+
+    H: Callable[[np.ndarray], np.ndarray]
+    dH: Callable[[np.ndarray], np.ndarray]
+
+
+def fundamental_identity_residual(
+    u: TimeSeries, probe: ConvexProbe, k: TimeSeries, n: int
+) -> float:
+    """LHS - RHS of the convolution-derivative product identity at t_n.
+
+    Discrete conventions, fixed once: left-rectangle causal convolutions,
+    forward difference for d/dt (so samples up to n+1 are required),
+    centered differences for dk/ds (one-sided at the ends), trapezoidal
+    quadrature for the remainder integral.  For linear H the residual is
+    zero to roundoff; for smooth u it shrinks under mesh refinement.
+
+    The kernel must be a regular (W^{1,1}-type) kernel sampled on the
+    mesh; a sample that is not finite (raw power-law kernel at t = 0) is
+    rejected.
+    """
+    if len(k) != len(u):
+        raise ValueError(f"length mismatch: kernel {len(k)} vs signal {len(u)}")
+    if abs(k.tau - u.tau) > 1e-14 * max(k.tau, u.tau):
+        raise ValueError(f"mesh mismatch: tau {k.tau} vs {u.tau}")
+    if not np.all(np.isfinite(k.values)):
+        raise ValueError("kernel samples must be finite; use a regularized kernel")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n + 1 > len(u) - 1:
+        raise ValueError(f"forward difference at n={n} needs sample n+1; series too short")
+    tau = u.tau
+    v = u.values
+    Hu = np.asarray(probe.H(v), dtype=float)
+    conv_u = convolve(k, u).values
+    conv_H = convolve(k, TimeSeries(tau, Hu)).values
+    un = v[n]
+    dHn = float(probe.dH(un))
+    Hn = float(probe.H(un))
+
+    lhs = dHn * (conv_u[n + 1] - conv_u[n]) / tau
+    term_conv = (conv_H[n + 1] - conv_H[n]) / tau
+    term_jump = (-Hn + dHn * un) * k.values[n]
+    # Remainder integral over s in [0, t_n]; s_j = j*tau pairs with u_{n-j}.
+    rev = v[n::-1]
+    bracket = np.asarray(probe.H(rev), dtype=float) - Hn - dHn * (rev - un)
+    dk = np.gradient(k.values, tau)
+    term_rem = float(np.trapezoid(bracket * (-dk[: n + 1]), dx=tau))
+    return float(lhs - (term_conv + term_jump + term_rem))
+
 
 QUAD_PROBE = ConvexProbe(H=lambda y: 0.5 * y**2, dH=lambda y: y)
 
