@@ -10,10 +10,11 @@ Grammar (EBNF):
 
 Precedence: ^  >  unary -  >  * /  >  + -.  Known names: sin, cos, exp,
 abs, sqrt (unary) and max, min (binary); the only variables are x and t.
-Parsing is total: any byte string either parses or raises ParseError with
-the byte offset and the expected-token set; that includes nesting deeper
-than MAX_DEPTH.  ``evaluate`` works elementwise on numpy arrays, so the
-CLI samples an expression on the whole node array once per time step.
+NUMBER is ASCII digits only.  Parsing is total: any string either parses
+or raises ParseError with the character offset and the expected-token
+set; that includes nesting deeper than MAX_DEPTH.  ``evaluate`` works
+elementwise on numpy arrays, so the CLI samples an expression on the
+whole node array once per time step.
 It follows IEEE float conventions (division by zero and domain
 violations yield inf/nan, which propagate; rejecting them is the config
 loader's job), except that x^k for integer |k| <= 64 is repeated
@@ -47,7 +48,7 @@ MAX_DEPTH = 100  # parentheses, call arguments and exponents; far below the recu
 
 
 class ParseError(ValueError):
-    """Syntax error with byte offset and the set of expected tokens."""
+    """Syntax error with character offset and the set of expected tokens."""
 
     def __init__(self, message: str, offset: int, expected=()):
         self.offset = offset
@@ -100,21 +101,21 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+        if "0" <= ch <= "9" or (ch == "." and i + 1 < n and "0" <= src[i + 1] <= "9"):
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             if j < n and src[j] == ".":
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and "0" <= src[j] <= "9":
                     j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and "0" <= src[k] <= "9":
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and "0" <= src[j] <= "9":
                         j += 1
             tokens.append(("num", src[i:j], i))
             i = j

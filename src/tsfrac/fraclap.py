@@ -16,7 +16,9 @@ assembled from three exactly integrated pieces:
   positivity that drives every maximum principle downstream).
 
 The result is a symmetric positive-definite M-matrix: positive diagonal,
-nonpositive off-diagonals, strictly positive row sums.
+nonpositive off-diagonals, strictly positive row sums.  It is the one
+discretization of the operator here: the energy form a(u, v) is
+h v^T A u of the same matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import check_order
 
@@ -111,34 +114,22 @@ def _pow_integral(r0, r1, p: float):
     return (r1 ** (p + 1.0) - r0 ** (p + 1.0)) / (p + 1.0)
 
 
-def _exterior_tail(grid: SpaceGrid, beta: float) -> np.ndarray:
-    """kappa_i = int_{y outside (a,b)} |x_i - y|^(-1-2 beta) dy, exact per node."""
-    x = grid.nodes()
-    left = x - grid.a
-    right = grid.b - x
-    return (left ** (-2.0 * beta) + right ** (-2.0 * beta)) / (2.0 * beta)
-
-
-def _near_weight(h: float, beta: float) -> float:
-    """int_0^{h/2} r^(1-2 beta) dr, the exactly integrated near-field weight."""
-    return (h / 2.0) ** (2.0 - 2.0 * beta) / (2.0 - 2.0 * beta)
-
-
 def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     """Assemble the dense discrete (-Delta)^beta on the grid.
 
     Off-diagonal couplings depend only on the node distance d = |i - j|
     (hat-function weights H_d, plus the near-field second difference at
-    d = 1), so they are computed once per distance; the diagonal collects
-    the near-field weight, the exact in-domain kernel mass outside the
-    h/2 ball, and the exterior tail.
+    d = 1), so they are computed once per distance and laid out as the
+    rows of one window view; the diagonal collects the near-field weight,
+    the exact in-domain kernel mass outside the h/2 ball, and the exterior
+    tail.
     """
     n = grid.n
     h = grid.h
     c = normalization_constant(beta)
     pk = -1.0 - 2.0 * beta  # kernel exponent
     pr = -2.0 * beta  # r * kernel exponent (log case at beta = 1/2)
-    w_near = _near_weight(h, beta)
+    w_near = (h / 2.0) ** (2.0 - 2.0 * beta) / (2.0 - 2.0 * beta)  # int_0^{h/2} r^(1-2 beta) dr
 
     # Hat-function weights: H_1 sees the h/2 exclusion ball, H_d (d >= 2) the full hat.
     coef = np.zeros(n)  # coupling magnitude at distance d
@@ -152,20 +143,17 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     if n > 2:
         d = np.arange(2, n, dtype=float)
         lo, mid, hi = (d - 1.0) * h, d * h, (d + 1.0) * h
-        Hd = (
+        coef[2:] = (
             _pow_integral(lo, mid, pr) / h
             - (d - 1.0) * _pow_integral(lo, mid, pk)
             + (d + 1.0) * _pow_integral(mid, hi, pk)
             - _pow_integral(mid, hi, pr) / h
         )
-        coef[2:] = Hd
 
-    A = np.zeros((n, n))
-    for dd in range(1, n):
-        val = -c * coef[dd]
-        idx = np.arange(n - dd)
-        A[idx, idx + dd] = val
-        A[idx + dd, idx] = val
+    # Row i of A is the window of r = -c (coef_{n-1}, .., coef_1, coef_0,
+    # coef_1, .., coef_{n-1}) that starts at n-1-i: A_ij = -c coef_|i-j|.
+    r = -c * np.concatenate((coef[:0:-1], coef))
+    A = sliding_window_view(r, n)[::-1].copy()
 
     # Diagonal: near-field + in-domain kernel mass beyond h/2 (minus the node's
     # own hat weight there, the u_i part of the interpolant) + exterior tail.
@@ -174,7 +162,8 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     dist_b = (n + 1.0 - i) * h
     J = _pow_integral(h / 2.0, dist_a, pk) + _pow_integral(h / 2.0, dist_b, pk)
     H0 = 2.0 * (_pow_integral(h / 2.0, h, pk) - _pow_integral(h / 2.0, h, pr) / h)
-    kappa = _exterior_tail(grid, beta)
+    x = grid.nodes()  # exterior tail: int_{y outside (a,b)} |x_i - y|^(-1-2 beta) dy
+    kappa = ((x - grid.a) ** pr + (grid.b - x) ** pr) / (2.0 * beta)
     np.fill_diagonal(A, c * (2.0 * w_near / h**2 + J - H0 + kappa))
     return FracLapMatrix(beta=beta, grid=grid, entries=A)
 
@@ -187,30 +176,16 @@ def apply(A: FracLapMatrix, u: Field) -> Field:
 
 
 def bilinear_a(u: Field, v: Field, beta: float) -> float:
-    """Discrete energy form a(u, v) of the fractional Laplacian.
+    """Discrete energy form a(u, v) = h v^T A u of the assembled operator.
 
-    (c/2) * sum_{i != j} W_|i-j| (u_i - u_j)(v_i - v_j) plus the exterior
-    strips where the second argument of each difference is 0.  Cell-pair
-    weights: W_d = h^2 |x_i - x_j|^(-1-2 beta) for d >= 2; the adjacent
-    weight reuses the exactly integrated near-field weight of the
-    assembly (w_near / h), matching the matrix's second-difference term.
-    Symmetric in (u, v); a(u, u) >= 0 with equality only at u = 0, since
-    the exterior term is strictly positive for any nonzero field.
+    A is assemble_1d on the fields' grid, so the form is the weak
+    counterpart of the operator the solver steps with.  A is symmetric
+    positive definite, so a is symmetric (up to rounding) and a(u, u) > 0
+    for u != 0.  A's off-diagonals are nonpositive, so for nonnegative
+    fields with disjoint supports (u+ and u-) only off-diagonals meet and
+    a(u+, u-) <= 0 exactly, rounding included.
     """
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    grid = u.grid
-    n, h = grid.n, grid.h
-    c = normalization_constant(beta)
-    dists = h * np.arange(1, n, dtype=float)
-    w = np.zeros(n)
-    if n > 1:
-        w[1:] = h**2 * dists ** (-1.0 - 2.0 * beta)
-        w[1] = _near_weight(h, beta) / h
-    W = w[np.abs(np.arange(n)[:, None] - np.arange(n))]  # Toeplitz: W_ij = w_|i-j|
-    uv = u.values * v.values
-    rows = W @ np.ones(n)
-    cross = float(u.values @ (W @ v.values))
-    double = float(np.dot(uv, rows)) - cross  # (1/2) sum_{ij} W_ij (u_i-u_j)(v_i-v_j)
-    exterior = h * float(np.dot(_exterior_tail(grid, beta), uv))
-    return c * (double + exterior)
+    A = assemble_1d(u.grid, beta).entries
+    return u.grid.h * float(v.values @ (A @ u.values))

@@ -208,12 +208,12 @@ def l1_states(
     # its inverse, all in this one Fortran-ordered buffer.
     G = np.array(A.entries, dtype=float, order="F")
     G.flat[:: nx + 1] += b[0]
-    G, lower = linalg.cho_factor(G, overwrite_a=True)
-    G, info = lapack.dpotri(G, lower=lower, overwrite_c=True)
+    G = linalg.cho_factor(G, overwrite_a=True)[0]
+    G, info = lapack.dpotri(G, lower=False, overwrite_c=True)
     if info != 0:
         raise ValueError(f"inverting b_0 I + A failed: LAPACK dpotri info={info}")
     if K != 1:  # one GEMM per step on the full G
-        _mirror_triangle(G, lower)
+        _mirror_triangle(G)
         step = np.empty((K, nx))
     states = np.empty((M + 1, K, nx))
     flat = states.reshape(M + 1, K * nx)
@@ -240,7 +240,7 @@ def l1_states(
                 if n > s:  # w_{n-s-1}, ..., w_0 against u^s .. u^{n-1}
                     r += np.dot(w[n - s - 1 :: -1], flat[s:n])
                 if K == 1:
-                    r[:] = blas.dsymv(1.0, G, r, lower=lower)
+                    r[:] = blas.dsymv(1.0, G, r, lower=False)
                 else:
                     np.matmul(states[n], G, out=step)
                     states[n] = step
@@ -250,15 +250,14 @@ def l1_states(
     return states
 
 
-def _mirror_triangle(G: np.ndarray, lower: bool) -> None:
-    """Copy the triangle LAPACK filled into the other one, _BLOCK columns at a time."""
+def _mirror_triangle(G: np.ndarray) -> None:
+    """Copy the upper triangle LAPACK filled into the lower one, _BLOCK columns at a time."""
     nx = G.shape[0]
-    src, dst = (G.T, G) if lower else (G, G.T)  # src holds the values in its upper triangle
     for j in range(0, nx, _BLOCK):
         e = min(j + _BLOCK, nx)
         tri = np.triu_indices(e - j, 1)
-        dst[j:e, j:e][tri] = src[j:e, j:e][tri]
-        dst[j:e, e:] = src[j:e, e:]
+        G.T[j:e, j:e][tri] = G[j:e, j:e][tri]
+        G.T[j:e, e:] = G[j:e, e:]
 
 
 def mollified_test_function(phi: np.ndarray, m: int, mesh: TimeMesh) -> np.ndarray:
@@ -305,7 +304,9 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
     Evaluates  int psi d/dt[(g_{1-alpha} * h_m) * (u - u0)] dx
              + a(h_m * u(., t_n), psi)  -  int (h_m * f)(., t_n) psi dx
     with discrete convolutions, a forward time difference at n (so n < M is
-    required) and h-weighted sums for the space integrals.  For a solution
+    required), h-weighted sums for the space integrals and the energy form
+    a(u, psi) = h psi^T A u of the operator the steps use (bilinear_a), so
+    the residual measures the time discretization alone.  For a solution
     of the discrete equation the residual shrinks under mesh refinement;
     for a supersolution (solved with forcing f + s, s >= 0, then tested
     against f) it stays above -tol.

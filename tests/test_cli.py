@@ -185,6 +185,14 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "convergence.csv").exists()
 
+    def test_narrow_domain_exit_zero(self, tmp_path, capsys):
+        # weak-residual grids with h <= 1e-155 / 25: the energy form must not overflow
+        cfg = write_config(tmp_path, {"a": 0.0, "b": 1e-155})
+        out = tmp_path / "c"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "convergence.csv").exists()
+
 
 class TestExitCodes:
     def test_config_errors_exit_two(self, tmp_path):

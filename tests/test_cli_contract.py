@@ -49,6 +49,8 @@ PROBES = [
     ({"a": 0, "b": 1e-300}, SOLVE, 2, "keys 'a','b': with n=16 the spacing h"),
     ({"a": -1e308, "b": 1e308}, SOLVE, 2, "keys 'a','b': the width b - a of [-1e+308, 1e+308] overflows"),
     ({"a": -1e308, "b": 1e308}, CONVERGENCE, 2, "keys 'a','b': the width b - a"),
+    ({"f": "x*²"}, SOLVE, 2, "key 'f': unexpected character"),
+    ({"f": "٣*x"}, SOLVE, 2, "key 'f': unexpected character"),
 ]
 
 
@@ -84,6 +86,7 @@ def _expressions():
     limits = st.sampled_from([
         "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, "+".join(["x"] * 5000),
         "-" * 900 + "x", "2^" * 60 + "2", "exp(1000)", "x^0.5", "1/(x - x)", "sqrt(-1)", "max(x)",
+        "x*²", "1²", "٣*x",
     ])
     return st.one_of(st.recursive(atoms, extend, max_leaves=8), limits, st.text(max_size=10))
 

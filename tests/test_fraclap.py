@@ -6,6 +6,8 @@ the adaptive-quadrature oracle before the matrix is held to it.  The frozen
 normalization value is exact: c(1/2) = 1/pi in 1-D.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -112,6 +114,19 @@ class TestAssembly:
                 checked += 1
         assert checked > 400
 
+    def test_peak_memory_is_one_matrix(self):
+        # the Toeplitz part is one copy of a window view: no n x n index
+        # array or other temporary beside the 8 n^2-byte result
+        n = 1024
+        g = SpaceGrid(-1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            assemble_1d(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
+
     def test_single_node_grid(self):
         for beta in (0.1, 0.5, 0.9):
             A = assemble_1d(SpaceGrid(-1.0, 1.0, 1), beta).entries
@@ -178,7 +193,7 @@ class TestBilinearForm:
         for _ in range(50):
             u = Field(g, rng.standard_normal(40))
             assert bilinear_a(u, u, 0.5) > 0.0
-        # even a constant has positive energy through the exterior strips
+        # even a constant has positive energy: the rows of A sum to > 0
         c = Field(g, np.ones(40))
         assert bilinear_a(c, c, 0.5) > 0.0
 
@@ -188,25 +203,21 @@ class TestBilinearForm:
         for _ in range(200):
             u = Field(g, rng.standard_normal(48))
             up, um = sign_split(u)
-            assert bilinear_a(up, um, 0.6) <= 1e-14
+            assert bilinear_a(up, um, 0.6) <= 0.0
             if np.any(um.values > 0.0):
                 assert bilinear_a(um, um, 0.6) > 0.0
 
-    def test_consistent_with_matrix_under_refinement(self):
-        # discrepancy decays at rate h^(2-2 beta): comfortably better than
-        # halving at beta = 1/4, asymptotically exact halving at beta = 1/2
-        for beta, factor in ((0.25, 2.0), (0.5, 1.85)):
-            errs = []
+    def test_is_energy_of_assembled_matrix(self):
+        # one discretization: a(u, v) is h v^T A u of the matrix the solver uses
+        for beta in (0.25, 0.5):
             for n in (64, 128, 256, 512):
                 g = SpaceGrid(-1.0, 1.0, n)
-                A = assemble_1d(g, beta)
+                A = assemble_1d(g, beta).entries
                 x = g.nodes()
                 u = Field(g, np.sin(np.pi * (x + 0.3)) * (1.0 - x**2))
                 v = Field(g, (0.5 + x) * np.cos(0.5 * np.pi * x) * (1.0 - x**2))
-                lhs = float(apply(A, u).values @ v.values) * g.h
-                errs.append(abs(lhs - bilinear_a(u, v, beta)))
-            for e0, e1 in zip(errs, errs[1:]):
-                assert e1 < e0 / factor
+                ref = g.h * (v.values @ (A @ u.values))
+                assert bilinear_a(u, v, beta) == pytest.approx(ref, rel=1e-15)
 
     def test_grid_mismatch(self):
         u = Field(SpaceGrid(-1.0, 1.0, 8), np.ones(8))
