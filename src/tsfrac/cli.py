@@ -36,7 +36,7 @@ _TYPES = {
 _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256"}
 # Most bytes a config's solve may be estimated to need, checked before
 # anything is allocated: three n x n matrices (dense A and the buffer that
-# holds b_0 I + A, its factor and its inverse, with room to spare), plus the
+# holds b_0 I + A and then its inverse, with room to spare), plus the
 # states and the sampled forcing ((M+1) x n each).  verify's trials run in
 # batches whose states and forcing stay under 4 MiB, or one trial at a time,
 # and keep one report and one seed per trial (888 bytes each, measured at
@@ -172,7 +172,10 @@ def load_config(path: str | Path) -> RunConfig:
             errors.append(f"key {key!r}: {e}")
 
     try:
-        ladder = tuple(int(s) for s in vals["m_ladder"].split(","))
+        pieces = [s.strip(" ") for s in vals["m_ladder"].split(",")]
+        if not all(s and all("0" <= ch <= "9" for ch in s) for s in pieces):
+            raise ValueError
+        ladder = tuple(int(s) for s in pieces)
         if any(not 1 <= m <= _MAX_INT for m in ladder):
             raise ValueError
     except ValueError:

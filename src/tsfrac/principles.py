@@ -282,8 +282,8 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
 
     Trials sweep the lattice round-robin, and each trial draws its data
     from its own seed.  The trials of one lattice point run as one L1 solve
-    with one right-hand side per trial, so b_0 I + A is factored and
-    inverted once per batch, not once per trial; a point's trials are split
+    with one right-hand side per trial, so b_0 I + A is inverted once
+    per batch, not once per trial; a point's trials are split
     into balanced batches whose states and forcing samples stay under
     _BATCH_BYTES, and one batch is held at a time.  Matrices are assembled
     once per beta.  The worst report is picked in trial order.

@@ -35,30 +35,40 @@ is the one-column result up to the summation order BLAS picks for the
 wider operands.
 
 Each step applies G = (b_0 I + A)^{-1}, formed once per call, in place of
-two triangular solves.  LAPACK fills one triangle of G.  For one column
-the step is one symmetric matrix-vector product (BLAS dsymv) on that
-triangle.  For K > 1 the triangle is first mirrored into the full matrix
-and each step is one general matrix-matrix product (GEMM) of the K rows
-with G.  No one kernel serves both: at n = 128 (2 cores, OpenBLAS via
-numpy 2.4) the symmetric product dsymm takes 14 us for one column and
-22 us for 8, 8 dsymv calls take 29 us and GEMM on the full G 9 us; at
-n = 2048 a GEMV on the full G takes 1.4 ms against 0.54 ms for dsymv, so
-one column keeps dsymv.
+solving with a factor: one general matrix-matrix product of the K rows
+with G, for every K.
 
 G is the inverse of an M-matrix and so entrywise nonnegative (Berman &
 Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM 1994,
-ch. 6), and it stays so in floating point: the upper Cholesky
-factor U of b_0 I + A has nonpositive off-diagonal entries even after
-rounding, so every term LAPACK dtrtri adds to U^{-1} has the same sign,
-and dlauum forms U^{-1} U^{-T} from products and sums of nonnegatives.
+ch. 6), and _inverse keeps it so in floating point by construction.  It
+inverts B = b_0 I + A in place by the block (Schur-complement) formula
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13):
+with X = B_11^{-1}, N = -B_12 >= 0, S = B_22 - N^T (XN) and Y = S^{-1},
+
+    G = [[X + (XN) Y (XN)^T, (XN) Y], [Y (XN)^T, Y]],
+
+X and Y inverted the same way.  The sign argument:
+
+- The buffer first holds 0 - B, a subtraction from +0.0, so its
+  off-diagonal entries are nonnegative and none is -0.0; its B_12 block
+  is then N itself.
+- A Schur complement of an M-matrix is an M-matrix, and in floating point
+  every off-diagonal entry of S is a nonpositive number minus a
+  nonnegative product.  The buffer holds -S = -B_22 + (N^T X) N, a
+  nonnegative number plus a nonnegative one.
+- Every block of G is a sum of products of nonnegatives.  No product is
+  negated afterwards (-(+0.0) is -0.0), so G has no negative entry and no
+  -0.0.
+- Below _LEAF rows the recursion ends in unpivoted elimination, one 2 x 2
+  Schur step at a time, each pivot block inverted by two scalar Schur
+  steps: the same argument again, with no pivoting to argue about.
+
 Positivity is therefore exact, with no clamping: each history term is a
-positive weight times a nonnegative state, whatever the order, and G, as
-one triangle for dsymv or mirrored for GEMM, maps a nonnegative
-right-hand side to a nonnegative state through sums of products of
-nonnegatives.  The price is the backward error of inversion against
-solving (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-ch. 14): the relative step residual measured 1.5-1.7 times the Cholesky
-one (README).
+positive weight times a nonnegative state, whatever the order, and G maps
+a nonnegative right-hand side to a nonnegative state through sums of
+products of nonnegatives.  The price is the backward error of inversion
+against solving (Higham, ch. 14): the relative step residual measured
+1.2-1.4 times the Cholesky one (README).
 
 Also here: the mollified test functions and the mollified weak-form
 residual used by the weak maximum-principle machinery.
@@ -73,8 +83,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import linalg
-from scipy.linalg import blas, lapack
 
 from .fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d, bilinear_a
 from .kernels import TimeMesh, check_order, h_kernel, regularized_kernel
@@ -93,6 +101,8 @@ __all__ = [
 ]
 
 _BLOCK = 256  # steps per block of the history sum; M <= _BLOCK is one block
+_LEAF = 16  # blocks of at most this many rows are inverted by elimination
+_EYE = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,7 @@ def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
     A one-column call of l1_states, which holds the stepper; deterministic
     for fixed inputs.  Raises ValueError for a matrix assembled on another
     grid or for another beta, for a non-finite u0 or forcing sample (before
-    any factoring) and for states that overflow.
+    any inversion) and for states that overflow.
     """
     if A is None:
         A = assemble_1d(problem.grid, problem.orders.beta)
@@ -179,19 +189,18 @@ def l1_states(
 
     ``u0`` has shape (K, n), ``forcing`` holds the samples, shape
     (M+1, K, n), and A must be assembled on ``grid``; the states come back
-    as (M+1, K, n).  The weights, their differences and one triangle of
-    G = (b_0 I + A)^{-1} are computed once; b_0 I + A is built, factored and
-    inverted in one n x n buffer.  The steps run in blocks of _BLOCK: a
-    block starting at step s first forms, in its own rows of the states,
-    the right-hand sides of all its steps from u^0, the forcing and the
-    history over u^1 .. u^{s-1}, one matrix-matrix product per finished
-    block of states; each step then adds its sum over u^s .. u^{n-1} (one
-    forward matrix-vector product) and multiplies by G (dsymv for one
-    column, GEMM on the mirrored G for more).  Nonnegative data give
-    exactly nonnegative states in floating point.
+    as (M+1, K, n).  The weights, their differences and G = (b_0 I + A)^{-1}
+    are computed once; b_0 I + A is built and inverted in one n x n buffer.
+    The steps run in blocks of _BLOCK: a block starting at step s first
+    forms, in its own rows of the states, the right-hand sides of all its
+    steps from u^0, the forcing and the history over u^1 .. u^{s-1}, one
+    matrix-matrix product per finished block of states; each step then adds
+    its sum over u^s .. u^{n-1} (one forward matrix-vector product) and
+    multiplies its K rows by G.  Nonnegative data give exactly nonnegative
+    states in floating point.
 
     Raises ValueError for a non-finite u0 or forcing sample (before any
-    factoring) and for states that overflow.
+    inversion) and for states that overflow.
     """
     M, nx = mesh.M, grid.n
     K = u0.shape[0]
@@ -204,17 +213,10 @@ def l1_states(
         raise ValueError(f"forcing sample is {forcing[j, k, i]} at (x={x!r}, t={t!r})")
     b = l1_weights(alpha, mesh.tau, M)
     w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j > 0, j = 1..M
-    # b_0 I + A, then its upper Cholesky factor, then the upper triangle of
-    # its inverse, all in this one Fortran-ordered buffer.
-    G = np.array(A.entries, dtype=float, order="F")
+    G = np.array(A.entries, dtype=float)
     G.flat[:: nx + 1] += b[0]
-    G = linalg.cho_factor(G, overwrite_a=True)[0]
-    G, info = lapack.dpotri(G, lower=False, overwrite_c=True)
-    if info != 0:
-        raise ValueError(f"inverting b_0 I + A failed: LAPACK dpotri info={info}")
-    if K != 1:  # one GEMM per step on the full G
-        _mirror_triangle(G)
-        step = np.empty((K, nx))
+    _inverse(G)
+    step = np.empty((K, nx))
     states = np.empty((M + 1, K, nx))
     flat = states.reshape(M + 1, K * nx)
     states[0] = u0
@@ -236,28 +238,73 @@ def l1_states(
                 d = s - c - _BLOCK
                 rhs += sliding_window_view(w, _BLOCK)[d : d + e - s, ::-1] @ flat[c : c + _BLOCK]
             for n in range(s, e):
-                r = flat[n]
                 if n > s:  # w_{n-s-1}, ..., w_0 against u^s .. u^{n-1}
-                    r += np.dot(w[n - s - 1 :: -1], flat[s:n])
-                if K == 1:
-                    r[:] = blas.dsymv(1.0, G, r, lower=False)
-                else:
-                    np.matmul(states[n], G, out=step)
-                    states[n] = step
+                    flat[n] += np.dot(w[n - s - 1 :: -1], flat[s:n])
+                np.matmul(states[n], G, out=step)
+                states[n] = step
     if not np.isfinite(flat).all():
         k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
         raise ValueError(f"states overflow: u^{k} is not finite")
     return states
 
 
-def _mirror_triangle(G: np.ndarray) -> None:
-    """Copy the upper triangle LAPACK filled into the lower one, _BLOCK columns at a time."""
-    nx = G.shape[0]
-    for j in range(0, nx, _BLOCK):
-        e = min(j + _BLOCK, nx)
-        tri = np.triu_indices(e - j, 1)
-        G.T[j:e, j:e][tri] = G[j:e, j:e][tri]
-        G.T[j:e, e:] = G[j:e, e:]
+def _inverse(B: np.ndarray) -> None:
+    """Overwrite the M-matrix B with its inverse, which is >= 0 entrywise.
+
+    The inverse is formed in B itself by the sign-safe Schur-complement
+    recursion of the module docstring.  The only scratch is one product
+    block of at most (n/2)^2 entries at a time: N^T X goes into the B_21
+    slot, which symmetry leaves free.
+    """
+    np.subtract(0.0, B, out=B)
+    _sweep(B)
+
+
+def _sweep(H: np.ndarray) -> None:
+    """Turn H = -B, B an M-matrix, into B^{-1} in place."""
+    n = H.shape[0]
+    if n <= _LEAF:
+        _eliminate(H)
+        return
+    k = n // 2
+    H11, H12, H21, H22 = H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:]
+    _sweep(H11)  # X; H12 holds N
+    np.matmul(H12.T, H11, out=H21)  # N^T X
+    H22 += H21 @ H12  # -S
+    _sweep(H22)  # Y
+    np.matmul(H21.T, H22, out=H12)  # (XN) Y
+    H11 += H12 @ H21  # X + (XN) Y (XN)^T
+    H21[...] = H12.T
+
+
+def _eliminate(H: np.ndarray) -> None:
+    """_sweep for a small block: unpivoted elimination, two pivots a step.
+
+    Before the step at the pivots P = {p, p+1} (or {p} alone at the end of
+    an odd block) H holds [[X, XN], [N^T X, -S]] as in _sweep: X over the
+    pivots before p, -S over the rest, P first.  The step inverts S_PP into
+    Y by two scalar Schur steps, clears rows and columns P, and adds the
+    outer product of the new columns P (H[:, P] Y, with Y in rows P) and
+    the old rows P (with I in columns P): every term a product of
+    nonnegatives.
+    """
+    m = H.shape[0]
+    for p in range(0, m, 2):
+        q = min(p + 2, m)
+        if q - p == 2:
+            (a, r), (c, e) = H[p:q, p:q].tolist()  # -S_PP: a, e < 0 <= r, c
+            x = -1.0 / a
+            xr, cx = x * r, c * x
+            y = 1.0 / (-e - cx * r)
+            Y = np.array([[x + xr * y * cx, xr * y], [y * cx, y]])
+        else:
+            Y = -1.0 / H[p:q, p:q]
+        cols, rows = H[:, p:q], H[p:q]
+        rows[:, p:q] = _EYE[: q - p, : q - p]
+        W = (cols @ Y) @ rows  # I in rows P of cols and in columns P of rows
+        cols[...] = 0.0
+        rows[...] = 0.0
+        H += W
 
 
 def mollified_test_function(phi: np.ndarray, m: int, mesh: TimeMesh) -> np.ndarray:

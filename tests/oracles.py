@@ -87,7 +87,7 @@ def run_trials_reference(config: TrialConfig) -> PrincipleReport:
     """``run_trials`` with one ``solve`` per trial, in trial order.
 
     Each trial samples its forcing step by step through
-    ``ProblemSpec.forcing_samples`` and factors its own b_0 I + A.
+    ``ProblemSpec.forcing_samples`` and inverts its own b_0 I + A.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]

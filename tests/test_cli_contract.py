@@ -51,6 +51,7 @@ PROBES = [
     ({"a": -1e308, "b": 1e308}, CONVERGENCE, 2, "keys 'a','b': the width b - a"),
     ({"f": "x*²"}, SOLVE, 2, "key 'f': unexpected character"),
     ({"f": "٣*x"}, SOLVE, 2, "key 'f': unexpected character"),
+    ({"m_ladder": "٤, 1_6"}, KERNEL_TABLE, 2, "key 'm_ladder': expected comma-separated"),
 ]
 
 
@@ -110,7 +111,8 @@ VALUES = {
     "trials": st.integers(1, 3) | st.sampled_from([0, -1, 2**21 + 1, 10**30]),
     "seed": st.integers(0, 2**70) | st.sampled_from([-1, 10**400]),
     "out": st.sampled_from(["out", "deep/er", "", "config.json/x", "a\x00b"]),
-    "m_ladder": st.sampled_from(["4,16", "2", "", "0", "a,b", "1,,2", str(10**400), "3,1e3"]),
+    "m_ladder": st.sampled_from(["4,16", "2", "", "0", "a,b", "1,,2", str(10**400), "3,1e3",
+                                   "٤", "1_6", "٤, 1_6", " 4 , 16 "]),
 }
 
 

@@ -7,10 +7,12 @@ Mittag-Leffler routine.  Positivity and comparison are exact discrete
 properties of the L1 + M-matrix scheme and are tested at roundoff scale.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from tsfrac.fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d
 from tsfrac.kernels import TimeMesh, mittag_leffler
@@ -25,6 +27,7 @@ from tsfrac.solver import (
     solution_metadata,
     solution_to_csv,
     solve,
+    _inverse,
     weak_residual,
 )
 from tsfrac.timefrac import l1_weights
@@ -184,21 +187,22 @@ class TestStepAndSolve:
 
 
 def l1_reference(problem, A):
-    """Step-by-step L1 stepping, one history GEMV per step: the oracle for
-    the blocked history sum of ``solve``."""
+    """Step-by-step L1 stepping, one history GEMV per step and the
+    library's inverse and step product: the oracle for the blocked history
+    sum of ``solve``."""
     M, nx = problem.mesh.M, problem.grid.n
     f = problem.forcing_samples()
     b = l1_weights(problem.orders.alpha, problem.mesh.tau, M)
     w = b[:-1] - b[1:]
-    cho = linalg.cho_factor(b[0] * np.eye(nx) + A.entries)
-    G, _ = lapack.dpotri(*cho)
+    G = b[0] * np.eye(nx) + A.entries
+    _inverse(G)
     u = np.empty((M + 1, nx))
     u[0] = problem.u0.values
     for n in range(1, M + 1):
         rhs = b[n - 1] * u[0] + f[n]
         if n > 1:
             rhs = rhs + np.dot(w[n - 2 :: -1], u[1:n])
-        u[n] = blas.dsymv(1.0, G, rhs, lower=cho[1])
+        u[n] = np.matmul(rhs[None], G)[0]
     return u
 
 
@@ -283,9 +287,23 @@ class TestBlockedHistorySum:
         assert l1_residual(sol, A, 8192) <= 1e-12
 
 
+def m_matrix(n, alpha, beta, M):
+    """b_0 I + A for the L1 weights of M steps on [0, 1] and n nodes of [-1, 1]."""
+    b0 = l1_weights(alpha, 1.0 / M, 0)[0]
+    return b0 * np.eye(n) + assemble_1d(SpaceGrid(-1.0, 1.0, n), beta).entries
+
+
+def lapack_inverse(B):
+    """Oracle inverse: Cholesky factor and LAPACK dpotri, mirrored to the full matrix."""
+    G, info = lapack.dpotri(linalg.cholesky(B))
+    assert info == 0
+    return np.triu(G) + np.triu(G, 1).T
+
+
 class TestInverseStep:
-    """Each step of ``solve`` multiplies by one triangle of (b_0 I + A)^{-1}
-    instead of doing two triangular solves with its Cholesky factor."""
+    """Each step of ``solve`` multiplies by (b_0 I + A)^{-1}, formed once in
+    place by ``_inverse``, instead of doing two triangular solves with a
+    Cholesky factor."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
     @pytest.mark.parametrize("M", [1, 16, 256, 600])
@@ -297,29 +315,51 @@ class TestInverseStep:
         np.testing.assert_allclose(got, cho_solve_reference(problem, A), rtol=1e-13, atol=0.0)
         assert got.min() >= 0.0
 
+    @staticmethod
+    def check_inverse(cases):
+        # Positivity is exact because every entry of the inverse is a sum of
+        # products of nonnegatives: no negative entry, and no -0.0.  The
+        # worst residual over the cases is held to twice the worst of
+        # LAPACK's Cholesky-based inverse (case by case both are a few ulps,
+        # and LAPACK's is exactly 0 for some 1 x 1 matrices).
+        ours, theirs = [], []
+        for n, alpha, beta, M in cases:
+            B = m_matrix(n, alpha, beta, M)
+            G = B.copy()
+            _inverse(G)
+            assert not np.any(G < 0.0), (alpha, M)
+            assert not np.any(np.signbit(G)), (alpha, M)
+            eye = np.eye(n)
+            ours.append(np.max(np.abs(B @ G - eye)))
+            theirs.append(np.max(np.abs(B @ lapack_inverse(B) - eye)))
+        assert max(ours) <= 2.0 * max(theirs), (ours, theirs)
+
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.9, 0.99])
-    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 128])
     def test_sign_premise_of_exact_positivity(self, n, beta):
-        # Positivity is exact because the upper Cholesky factor of the
-        # M-matrix has nonpositive off-diagonal entries after rounding, so
-        # the inverse LAPACK forms from it has no negative entry, and no -0.0.
-        A = assemble_1d(SpaceGrid(-1.0, 1.0, n), beta).entries
-        upper = np.triu_indices(n)
-        for alpha in (0.05, 0.5, 0.99):
-            for M in (1, 256, 65536):
-                b0 = l1_weights(alpha, 1.0 / M, 0)[0]
-                U = linalg.cholesky(b0 * np.eye(n) + A)
-                assert np.all(np.triu(U, 1) <= 0.0), (alpha, M)
-                G, info = lapack.dpotri(U)
-                assert info == 0
-                assert not np.any(G[upper] < 0.0), (alpha, M)
-                assert not np.any(np.signbit(G[upper])), (alpha, M)
+        self.check_inverse([(n, alpha, beta, M) for alpha in (0.05, 0.5, 0.99) for M in (1, 256, 65536)])
+
+    def test_sign_premise_at_wide_grid(self):
+        self.check_inverse([(2048, 0.05, 0.95, 4096)])
+
+    def test_inverse_peak_memory_is_a_quarter_matrix(self):
+        # In place: the scratch is one (n/2)^2 product block at a time, so
+        # inverting the buffer allocates at most 0.3 x 8 n^2 bytes.
+        n = 1024
+        B = m_matrix(n, 0.5, 0.5, 256)
+        tracemalloc.start()
+        try:
+            _inverse(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * 8 * n * n, peak / (8 * n * n)
 
 
 class TestManyColumns:
     """``l1_states`` steps K problems at once: each step multiplies the K
-    right-hand sides by the full inverse (one GEMM) where one column takes
-    one dsymv, and the history sums run K times wider."""
+    right-hand sides by the inverse in one matrix-matrix product, as for
+    one column, and the history sums run K times wider."""
 
     @staticmethod
     def data(n, K, M, seed):
@@ -366,7 +406,7 @@ class TestManyColumns:
 
 class TestNonFiniteData:
     """The step checks no finiteness itself: ``solve`` checks its data once
-    before factoring and its states once after the last step."""
+    before inverting and its states once after the last step."""
 
     def test_nan_in_one_forcing_row(self):
         f = lambda x, t: np.where((x == x[4]) & (t == 0.5), np.nan, 1.0)
