@@ -26,7 +26,7 @@ import numpy as np
 
 from .fraclap import Field, SpaceGrid, assemble_1d
 from .kernels import TimeMesh
-from .solver import FracOrders, ProblemSpec, Solution, l1_states
+from .solver import FracOrders, ProblemSpec, Solution, l1_stepper
 
 __all__ = [
     "BoundaryClass",
@@ -258,8 +258,8 @@ def _trial_data(kind: str, seed: int, grid: SpaceGrid):
 _BATCH_BYTES = 4 * 2**20  # most bytes of states plus forcing samples in one batch
 
 
-def _run_batch(kind: str, orders: FracOrders, grid: SpaceGrid, mesh: TimeMesh, A, seeds) -> list:
-    """Solve the trials of one lattice point as one K-column L1 solve; check each."""
+def _run_batch(kind: str, orders: FracOrders, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
+    """Solve a batch of one lattice point's trials in one call of its stepper; check each."""
     x, t = grid.nodes(), mesh.times()[:, None]
     u0 = np.empty((len(seeds), grid.n))
     forcing = np.empty((mesh.M + 1, len(seeds), grid.n))
@@ -268,7 +268,7 @@ def _run_batch(kind: str, orders: FracOrders, grid: SpaceGrid, mesh: TimeMesh, A
         u0[k], f = _trial_data(kind, seed, grid)
         forcing[:, k] = f(x, t)
         closures.append(f)
-    states = l1_states(orders.alpha, grid, mesh, A, u0, forcing)
+    states = step(u0, forcing)
     check = check_parabolic_boundary if kind == "boundary-min" else check_nonnegativity
     reports = []
     for k, f in enumerate(closures):
@@ -281,13 +281,14 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     """Run seeded randomized trials over the lattice; aggregate the worst case.
 
     Trials sweep the lattice round-robin, and each trial draws its data
-    from its own seed.  The trials of one lattice point run as one L1 solve
-    with one right-hand side per trial, so b_0 I + A is inverted once
-    per batch, not once per trial; a point's trials are split
-    into balanced batches whose states and forcing samples stay under
-    _BATCH_BYTES, and one batch is held at a time.  Matrices are assembled
-    once per beta.  The worst report is picked in trial order.
-    Deterministic: the same config yields the identical report.
+    from its own seed.  Each lattice point builds one L1 stepper, so
+    b_0 I + A is inverted once per point, not once per trial or batch.  A
+    point's trials are split into balanced batches whose states and
+    forcing samples stay under _BATCH_BYTES, each batch one call of the
+    stepper with one right-hand side per trial, and one batch is held at a
+    time.  Matrices are assembled once per beta.  The worst report is
+    picked in trial order.  Deterministic: the same config yields the
+    identical report.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
@@ -304,8 +305,9 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
         if beta not in matrices:
             matrices[beta] = assemble_1d(grid, beta)
         orders = FracOrders(alpha, beta)
+        step = l1_stepper(alpha, grid, mesh, matrices[beta])
         for batch in np.array_split(group, -(-len(group) // width)):
-            found = _run_batch(config.kind, orders, grid, mesh, matrices[beta], [seeds[i] for i in batch])
+            found = _run_batch(config.kind, orders, grid, mesh, step, [seeds[i] for i in batch])
             reports.update(zip(batch.tolist(), found))
 
     worst: PrincipleReport | None = None

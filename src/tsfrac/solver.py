@@ -27,16 +27,16 @@ numpy's own loop, 4-5 times slower at n = 128, while np.dot copies the
 weights to a contiguous buffer and calls BLAS gemv.  Only the order of
 summation differs from a step-by-step sum over u^{n-1}, ..., u^1.
 
-The stepper, l1_states, advances K problems that share alpha, the grid,
-the mesh and A at once; solve is its one-column call.  The K right-hand
-sides of a step form one C-contiguous row of K n values, so the history
-sums above are the same products on K times wider operands, and column k
-is the one-column result up to the summation order BLAS picks for the
-wider operands.
+The stepper that l1_stepper builds advances K problems that share alpha,
+the grid, the mesh and A at once; solve is its one-column call.  The K
+right-hand sides of a step form one C-contiguous row of K n values, so
+the history sums above are the same products on K times wider operands,
+and column k is the one-column result up to the summation order BLAS
+picks for the wider operands.
 
-Each step applies G = (b_0 I + A)^{-1}, formed once per call, in place of
-solving with a factor: one general matrix-matrix product of the K rows
-with G, for every K.
+Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor:
+one general matrix-matrix product of the K rows with G, for every K.
+l1_stepper forms G once, and every call of its stepper reuses it.
 
 G is the inverse of an M-matrix and so entrywise nonnegative (Berman &
 Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM 1994,
@@ -47,7 +47,8 @@ with X = B_11^{-1}, N = -B_12 >= 0, S = B_22 - N^T (XN) and Y = S^{-1},
 
     G = [[X + (XN) Y (XN)^T, (XN) Y], [Y (XN)^T, Y]],
 
-X and Y inverted the same way.  The sign argument:
+X and Y inverted the same way, down to 1 x 1 blocks [b], b > 0, whose
+inverse is 1 / b.  The sign argument:
 
 - The buffer first holds 0 - B, a subtraction from +0.0, so its
   off-diagonal entries are nonnegative and none is -0.0; its B_12 block
@@ -56,19 +57,17 @@ X and Y inverted the same way.  The sign argument:
   every off-diagonal entry of S is a nonpositive number minus a
   nonnegative product.  The buffer holds -S = -B_22 + (N^T X) N, a
   nonnegative number plus a nonnegative one.
+- A 1 x 1 block holds -b < 0 and becomes -1 / -b = 1 / b > 0.
 - Every block of G is a sum of products of nonnegatives.  No product is
   negated afterwards (-(+0.0) is -0.0), so G has no negative entry and no
   -0.0.
-- Below _LEAF rows the recursion ends in unpivoted elimination, one 2 x 2
-  Schur step at a time, each pivot block inverted by two scalar Schur
-  steps: the same argument again, with no pivoting to argue about.
 
 Positivity is therefore exact, with no clamping: each history term is a
 positive weight times a nonnegative state, whatever the order, and G maps
 a nonnegative right-hand side to a nonnegative state through sums of
 products of nonnegatives.  The price is the backward error of inversion
 against solving (Higham, ch. 14): the relative step residual measured
-1.2-1.4 times the Cholesky one (README).
+1.1-1.4 times the Cholesky one (README).
 
 Also here: the mollified test functions and the mollified weak-form
 residual used by the weak maximum-principle machinery.
@@ -93,7 +92,7 @@ __all__ = [
     "ProblemSpec",
     "Solution",
     "solve",
-    "l1_states",
+    "l1_stepper",
     "mollified_test_function",
     "weak_residual",
     "solution_to_csv",
@@ -101,8 +100,6 @@ __all__ = [
 ]
 
 _BLOCK = 256  # steps per block of the history sum; M <= _BLOCK is one block
-_LEAF = 16  # blocks of at most this many rows are inverted by elimination
-_EYE = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -164,10 +161,11 @@ class Solution:
 def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
     """Assemble (once), sample the forcing and run all M L1-implicit steps.
 
-    A one-column call of l1_states, which holds the stepper; deterministic
+    A one-column call of the stepper that l1_stepper builds; deterministic
     for fixed inputs.  Raises ValueError for a matrix assembled on another
-    grid or for another beta, for a non-finite u0 or forcing sample (before
-    any inversion) and for states that overflow.
+    grid or for another beta, for a non-finite u0 or forcing sample (checked
+    after the inversion, before the first step) and for states that
+    overflow.
     """
     if A is None:
         A = assemble_1d(problem.grid, problem.orders.beta)
@@ -176,76 +174,81 @@ def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
     elif A.beta != problem.orders.beta:
         raise ValueError(f"matrix assembled for beta={A.beta}, not {problem.orders.beta}")
     fsamp = problem.forcing_samples()
-    states = l1_states(
-        problem.orders.alpha, problem.grid, problem.mesh, A, problem.u0.values[None], fsamp[:, None]
-    )
+    step = l1_stepper(problem.orders.alpha, problem.grid, problem.mesh, A)
+    states = step(problem.u0.values[None], fsamp[:, None])
     return Solution(problem=problem, states=states[:, 0], forcing=fsamp)
 
 
-def l1_states(
-    alpha: float, grid: SpaceGrid, mesh: TimeMesh, A: FracLapMatrix, u0: np.ndarray, forcing: np.ndarray
-) -> np.ndarray:
-    """States of K problems that share alpha, the grid, the mesh and A.
+def l1_stepper(
+    alpha: float, grid: SpaceGrid, mesh: TimeMesh, A: FracLapMatrix
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The L1 stepper of every problem with these alpha, grid, mesh and A.
 
-    ``u0`` has shape (K, n), ``forcing`` holds the samples, shape
-    (M+1, K, n), and A must be assembled on ``grid``; the states come back
-    as (M+1, K, n).  The weights, their differences and G = (b_0 I + A)^{-1}
-    are computed once; b_0 I + A is built and inverted in one n x n buffer.
-    The steps run in blocks of _BLOCK: a block starting at step s first
-    forms, in its own rows of the states, the right-hand sides of all its
-    steps from u^0, the forcing and the history over u^1 .. u^{s-1}, one
-    matrix-matrix product per finished block of states; each step then adds
-    its sum over u^s .. u^{n-1} (one forward matrix-vector product) and
-    multiplies its K rows by G.  Nonnegative data give exactly nonnegative
-    states in floating point.
+    A must be assembled on ``grid``.  The weights, their differences and
+    G = (b_0 I + A)^{-1} are computed here, once; b_0 I + A is built and
+    inverted in one n x n buffer.  The returned function takes ``u0`` of
+    shape (K, n) and the forcing samples of shape (M+1, K, n), for any K,
+    and returns the states of the K problems, shape (M+1, K, n).  Its steps
+    run in blocks of _BLOCK: a block starting at step s first forms, in its
+    own rows of the states, the right-hand sides of all its steps from u^0,
+    the forcing and the history over u^1 .. u^{s-1}, one matrix-matrix
+    product per finished block of states; each step then adds its sum over
+    u^s .. u^{n-1} (one forward matrix-vector product) and multiplies its
+    K rows by G.  Nonnegative data give exactly nonnegative states in
+    floating point.
 
-    Raises ValueError for a non-finite u0 or forcing sample (before any
-    inversion) and for states that overflow.
+    The returned function raises ValueError for a non-finite u0 or forcing
+    sample (before the first step, so after the inversion) and for states
+    that overflow.
     """
     M, nx = mesh.M, grid.n
-    K = u0.shape[0]
-    if not np.isfinite(u0).all():
-        k, i = np.argwhere(~np.isfinite(u0))[0]
-        raise ValueError(f"u0 is {u0[k, i]} at x={float(grid.nodes()[i])!r}")
-    if not np.isfinite(forcing).all():
-        j, k, i = np.argwhere(~np.isfinite(forcing))[0]
-        x, t = float(grid.nodes()[i]), float(mesh.times()[j])
-        raise ValueError(f"forcing sample is {forcing[j, k, i]} at (x={x!r}, t={t!r})")
     b = l1_weights(alpha, mesh.tau, M)
     w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j > 0, j = 1..M
     G = np.array(A.entries, dtype=float)
     G.flat[:: nx + 1] += b[0]
     _inverse(G)
-    step = np.empty((K, nx))
-    states = np.empty((M + 1, K, nx))
-    flat = states.reshape(M + 1, K * nx)
-    states[0] = u0
-    fflat = forcing.reshape(M + 1, K * nx)
-    # An overflow shows as a non-finite state and is reported after the loop.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, M + 1, _BLOCK):
-            e = min(s + _BLOCK, M + 1)
-            # Row n of the block first holds the right-hand side of step n
-            # less its sum over u^s .. u^{n-1}: the u^0 and forcing terms,
-            # then the sum over the states u^1 .. u^{s-1} of the finished
-            # blocks.  Against the block u^c .. u^{c+_BLOCK-1} the weights
-            # form a Toeplitz matrix: rows d .. d+e-s-1 of a window view of w,
-            # columns reversed.
-            rhs = flat[s:e]
-            np.multiply(b[s - 1 : e - 1, None], flat[0], out=rhs)
-            rhs += fflat[s:e]
-            for c in range(1, s, _BLOCK):
-                d = s - c - _BLOCK
-                rhs += sliding_window_view(w, _BLOCK)[d : d + e - s, ::-1] @ flat[c : c + _BLOCK]
-            for n in range(s, e):
-                if n > s:  # w_{n-s-1}, ..., w_0 against u^s .. u^{n-1}
-                    flat[n] += np.dot(w[n - s - 1 :: -1], flat[s:n])
-                np.matmul(states[n], G, out=step)
-                states[n] = step
-    if not np.isfinite(flat).all():
-        k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
-        raise ValueError(f"states overflow: u^{k} is not finite")
-    return states
+
+    def l1_states(u0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        K = u0.shape[0]
+        if not np.isfinite(u0).all():
+            k, i = np.argwhere(~np.isfinite(u0))[0]
+            raise ValueError(f"u0 is {u0[k, i]} at x={float(grid.nodes()[i])!r}")
+        if not np.isfinite(forcing).all():
+            j, k, i = np.argwhere(~np.isfinite(forcing))[0]
+            x, t = float(grid.nodes()[i]), float(mesh.times()[j])
+            raise ValueError(f"forcing sample is {forcing[j, k, i]} at (x={x!r}, t={t!r})")
+        step = np.empty((K, nx))
+        states = np.empty((M + 1, K, nx))
+        flat = states.reshape(M + 1, K * nx)
+        states[0] = u0
+        fflat = forcing.reshape(M + 1, K * nx)
+        # An overflow shows as a non-finite state and is reported after the loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(1, M + 1, _BLOCK):
+                e = min(s + _BLOCK, M + 1)
+                # Row n of the block first holds the right-hand side of step n
+                # less its sum over u^s .. u^{n-1}: the u^0 and forcing terms,
+                # then the sum over the states u^1 .. u^{s-1} of the finished
+                # blocks.  Against the block u^c .. u^{c+_BLOCK-1} the weights
+                # form a Toeplitz matrix: rows d .. d+e-s-1 of a window view of
+                # w, columns reversed.
+                rhs = flat[s:e]
+                np.multiply(b[s - 1 : e - 1, None], flat[0], out=rhs)
+                rhs += fflat[s:e]
+                for c in range(1, s, _BLOCK):
+                    d = s - c - _BLOCK
+                    rhs += sliding_window_view(w, _BLOCK)[d : d + e - s, ::-1] @ flat[c : c + _BLOCK]
+                for n in range(s, e):
+                    if n > s:  # w_{n-s-1}, ..., w_0 against u^s .. u^{n-1}
+                        flat[n] += np.dot(w[n - s - 1 :: -1], flat[s:n])
+                    np.matmul(states[n], G, out=step)
+                    states[n] = step
+        if not np.isfinite(flat).all():
+            k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
+            raise ValueError(f"states overflow: u^{k} is not finite")
+        return states
+
+    return l1_states
 
 
 def _inverse(B: np.ndarray) -> None:
@@ -263,8 +266,8 @@ def _inverse(B: np.ndarray) -> None:
 def _sweep(H: np.ndarray) -> None:
     """Turn H = -B, B an M-matrix, into B^{-1} in place."""
     n = H.shape[0]
-    if n <= _LEAF:
-        _eliminate(H)
+    if n == 1:
+        np.divide(-1.0, H, out=H)  # H = -b < 0
         return
     k = n // 2
     H11, H12, H21, H22 = H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:]
@@ -275,36 +278,6 @@ def _sweep(H: np.ndarray) -> None:
     np.matmul(H21.T, H22, out=H12)  # (XN) Y
     H11 += H12 @ H21  # X + (XN) Y (XN)^T
     H21[...] = H12.T
-
-
-def _eliminate(H: np.ndarray) -> None:
-    """_sweep for a small block: unpivoted elimination, two pivots a step.
-
-    Before the step at the pivots P = {p, p+1} (or {p} alone at the end of
-    an odd block) H holds [[X, XN], [N^T X, -S]] as in _sweep: X over the
-    pivots before p, -S over the rest, P first.  The step inverts S_PP into
-    Y by two scalar Schur steps, clears rows and columns P, and adds the
-    outer product of the new columns P (H[:, P] Y, with Y in rows P) and
-    the old rows P (with I in columns P): every term a product of
-    nonnegatives.
-    """
-    m = H.shape[0]
-    for p in range(0, m, 2):
-        q = min(p + 2, m)
-        if q - p == 2:
-            (a, r), (c, e) = H[p:q, p:q].tolist()  # -S_PP: a, e < 0 <= r, c
-            x = -1.0 / a
-            xr, cx = x * r, c * x
-            y = 1.0 / (-e - cx * r)
-            Y = np.array([[x + xr * y * cx, xr * y], [y * cx, y]])
-        else:
-            Y = -1.0 / H[p:q, p:q]
-        cols, rows = H[:, p:q], H[p:q]
-        rows[:, p:q] = _EYE[: q - p, : q - p]
-        W = (cols @ Y) @ rows  # I in rows P of cols and in columns P of rows
-        cols[...] = 0.0
-        rows[...] = 0.0
-        H += W
 
 
 def mollified_test_function(phi: np.ndarray, m: int, mesh: TimeMesh) -> np.ndarray:

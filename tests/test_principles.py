@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsfrac import principles
+from tsfrac import principles, solver
 from tsfrac.fraclap import Field, SpaceGrid
 from tsfrac.kernels import TimeMesh
 from tsfrac.principles import (
@@ -241,13 +241,18 @@ def one_point(kind="nonneg", trials=20, seed=0, n=128, M=256):
 def record_batches(monkeypatch):
     """Record the (u0, forcing) arguments of every batched solve."""
     calls = []
-    original = principles.l1_states
+    original = principles.l1_stepper
 
-    def recorder(alpha, grid, mesh, A, u0, forcing):
-        calls.append((u0.copy(), forcing.copy()))
-        return original(alpha, grid, mesh, A, u0, forcing)
+    def recording_stepper(alpha, grid, mesh, A):
+        step = original(alpha, grid, mesh, A)
 
-    monkeypatch.setattr(principles, "l1_states", recorder)
+        def recorder(u0, forcing):
+            calls.append((u0.copy(), forcing.copy()))
+            return step(u0, forcing)
+
+        return recorder
+
+    monkeypatch.setattr(principles, "l1_stepper", recording_stepper)
     return calls
 
 
@@ -294,6 +299,24 @@ class TestBatchedTrials:
         calls.clear()
         run_trials(one_point(trials=3, n=512, M=511))
         assert [len(u0) for u0, _ in calls] == [1, 1, 1]
+
+    def test_one_inverse_per_lattice_point(self, monkeypatch):
+        # 8 trials per point of a 2 x 2 lattice at n = 128, M = 256 run as
+        # batches of 4 and 4; all batches of a point share one inverse.
+        inversions = []
+        original = solver._inverse
+
+        def counting_inverse(B):
+            inversions.append(B.shape)
+            original(B)
+
+        monkeypatch.setattr(solver, "_inverse", counting_inverse)
+        calls = record_batches(monkeypatch)
+        config = TrialConfig(kind="nonneg", trials=32, seed=0, alphas=(0.3, 0.7), betas=(0.4, 0.8),
+                             grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256))
+        run_trials(config)
+        assert [len(u0) for u0, _ in calls] == [4, 4] * 4
+        assert inversions == [(128, 128)] * 4
 
     def test_memory_peak(self):
         # One batch of 7 holds about 3.7 MB of states and forcing samples.

@@ -22,7 +22,7 @@ from tsfrac.solver import (
     ProblemSpec,
     Solution,
     config_hash,
-    l1_states,
+    l1_stepper,
     mollified_test_function,
     solution_metadata,
     solution_to_csv,
@@ -335,7 +335,7 @@ class TestInverseStep:
         assert max(ours) <= 2.0 * max(theirs), (ours, theirs)
 
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.9, 0.99])
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 31, 128, 255])
     def test_sign_premise_of_exact_positivity(self, n, beta):
         self.check_inverse([(n, alpha, beta, M) for alpha in (0.05, 0.5, 0.99) for M in (1, 256, 65536)])
 
@@ -357,9 +357,10 @@ class TestInverseStep:
 
 
 class TestManyColumns:
-    """``l1_states`` steps K problems at once: each step multiplies the K
-    right-hand sides by the inverse in one matrix-matrix product, as for
-    one column, and the history sums run K times wider."""
+    """The stepper that ``l1_stepper`` builds steps K problems at once: each
+    step multiplies the K right-hand sides by the inverse in one
+    matrix-matrix product, as for one column, and the history sums run K
+    times wider."""
 
     @staticmethod
     def data(n, K, M, seed):
@@ -373,40 +374,42 @@ class TestManyColumns:
     def test_columns_match_one_column_solves(self, n, K, M):
         grid, mesh, u0, F = self.data(n, K, M, seed=1000 * n + 10 * K + M)
         A = assemble_1d(grid, 0.6)
-        got = l1_states(0.4, grid, mesh, A, u0, F)
+        step = l1_stepper(0.4, grid, mesh, A)
+        got = step(u0, F)
         assert got.shape == (M + 1, K, n)
         for k in range(K):
-            one = l1_states(0.4, grid, mesh, A, u0[k : k + 1], F[:, k : k + 1])
+            one = step(u0[k : k + 1], F[:, k : k + 1])
             np.testing.assert_allclose(got[:, k], one[:, 0], rtol=1e-13, atol=0.0)
         assert got.min() >= 0.0
 
     def test_one_column_is_solve(self):
         problem = random_problem(16, 300, 0.7, 0.6, seed=3)
         A = assemble_1d(problem.grid, 0.6)
-        got = l1_states(0.7, problem.grid, problem.mesh, A, problem.u0.values[None],
-                        problem.forcing_samples()[:, None])
+        got = l1_stepper(0.7, problem.grid, problem.mesh, A)(problem.u0.values[None],
+                                                             problem.forcing_samples()[:, None])
         assert np.array_equal(got[:, 0], solve(problem, A=A).states)
 
     def test_non_finite_data_in_a_later_column(self):
         grid, mesh, u0, F = self.data(16, 3, 8, seed=5)
         A = assemble_1d(grid, 0.6)
         x = grid.nodes()
+        step = l1_stepper(0.5, grid, mesh, A)
         bad = u0.copy()
         bad[2, 3] = np.nan
         with pytest.raises(ValueError) as info:
-            l1_states(0.5, grid, mesh, A, bad, F)
+            step(bad, F)
         assert str(info.value) == f"u0 is nan at x={float(x[3])!r}"
         bad = F.copy()
         bad[4, 1, 7] = -np.inf
         with pytest.raises(ValueError) as info:
-            l1_states(0.5, grid, mesh, A, u0, bad)
+            step(u0, bad)
         t = float(mesh.times()[4])
         assert str(info.value) == f"forcing sample is -inf at (x={float(x[7])!r}, t={t!r})"
 
 
 class TestNonFiniteData:
     """The step checks no finiteness itself: ``solve`` checks its data once
-    before inverting and its states once after the last step."""
+    before the first step and its states once after the last step."""
 
     def test_nan_in_one_forcing_row(self):
         f = lambda x, t: np.where((x == x[4]) & (t == 0.5), np.nan, 1.0)
