@@ -4,8 +4,8 @@ Nonnegative data give a nonnegative solution, and with a nonnegative
 forcing the global minimum can only sit on the parabolic boundary (the
 initial slice or the exterior-adjacent layer), never strictly inside at
 the final time.  Both are exact properties of the monotone scheme, so the
-randomized trials below pass at roundoff tolerance, reproducibly from the
-seed.
+randomized trials below pass, nonnegativity with no tolerance at all,
+reproducibly from the seed.
 """
 
 import numpy as np

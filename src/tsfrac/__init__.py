@@ -10,7 +10,8 @@ and parabolic-boundary checks, and a Mittag-Leffler relaxation oracle.
 Modules: kernels (power-law/mollified kernels, convolution,
 Mittag-Leffler), timefrac (L1 derivative, convexity inequalities),
 fraclap (fractional Laplacian assembly and energy form), solver
-(implicit stepping, weak residual), principles (maximum-principle
+(the L1 stepper and solve, its one-column call for the assembled
+operator; weak residual), principles (maximum-principle
 harness), exprparse (config expressions), cli (command line).
 """
 
@@ -45,7 +46,6 @@ from .solver import (
     FracOrders,
     ProblemSpec,
     Solution,
-    mollified_test_function,
     solve,
     weak_residual,
 )
@@ -64,8 +64,7 @@ __all__ = [
     "SpaceGrid", "Field", "FracLapMatrix", "normalization_constant",
     "assemble_1d", "bilinear_a",
     # solver
-    "FracOrders", "ProblemSpec", "Solution", "solve",
-    "mollified_test_function", "weak_residual",
+    "FracOrders", "ProblemSpec", "Solution", "solve", "weak_residual",
     # principles
     "BoundaryClass", "PrincipleReport", "TrialConfig", "classify",
     "check_nonnegativity", "check_parabolic_boundary", "run_trials",

@@ -57,29 +57,30 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {offset}{hint}")
 
 
-@dataclass(frozen=True)
+# repr=False: the generated repr recurses, and a 5,000-term sum is 5,000 nodes deep.
+@dataclass(frozen=True, repr=False)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BinOp:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Call:
     name: str
     args: tuple

@@ -81,13 +81,12 @@ class TimeSeries:
 
 
 def g_kernel(gamma: float, t):
-    """Evaluate g_gamma(t) = t^(gamma-1)/Gamma(gamma) for gamma in (0,1], t > 0.
+    """Evaluate g_gamma(t) = t^(gamma-1)/Gamma(gamma) for gamma in (0,1), t > 0.
 
-    Strictly positive; for gamma < 1 it diverges as t -> 0+, which is why
-    t = 0 is rejected.  Accepts scalars or arrays in t.
+    Strictly positive; it diverges as t -> 0+, which is why t = 0 is
+    rejected.  Accepts scalars or arrays in t.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0,1], got {gamma}")
+    check_order("gamma", gamma)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("g_kernel requires t > 0")
@@ -96,14 +95,13 @@ def g_kernel(gamma: float, t):
 
 
 def g_cell_integral(gamma: float, t0: float, t1: float) -> float:
-    """Exact mass of g_gamma over [t0, t1], 0 <= t0 <= t1.
+    """Exact mass of g_gamma over [t0, t1], gamma in (0,1), 0 <= t0 <= t1.
 
     Equals (t1^gamma - t0^gamma)/Gamma(gamma+1); finite down to t0 = 0,
     which is how the singular first cell of every quadrature here is
     handled.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0,1], got {gamma}")
+    check_order("gamma", gamma)
     if t0 < 0.0 or t1 < t0:
         raise ValueError("need 0 <= t0 <= t1")
     return (t1**gamma - t0**gamma) / math.gamma(gamma + 1.0)
@@ -136,8 +134,6 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
     nonincreasing kernel use :func:`monotone_regularized_kernel`.
     """
     check_order("alpha", alpha)
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
     tau = mesh.tau
     M = mesh.M
     # Per-cell mass of g_{1-alpha}: exact on the singular cell, midpoint after.
@@ -279,7 +275,7 @@ def _ml_spectral(alpha: float, x: float) -> float:
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(z) for real z.
+    """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0,1), for real z.
 
     Regimes: the power series sum z^k / Gamma(alpha*k + 1) with term-ratio
     stopping (|term| < 1e-15 * |sum|) for z >= -1, and one fixed tanh-sinh
@@ -289,14 +285,10 @@ def mittag_leffler(alpha: float, z: float) -> float:
     is O(0.1)), and already at z = -4.6^alpha the rounding of its terms
     costs 1e-13 relative.  Up to |z| = 1 its terms stay O(1), and the rule,
     whose error grows as x -> 0 for small alpha, starts where it is below
-    1e-15 for alpha >= 0.02.  E_1(z) = exp(z) is dispatched exactly, and
-    E_alpha(-inf) = 0.
+    1e-15 for alpha >= 0.02.  E_alpha(-inf) = 0.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0,1], got {alpha}")
+    check_order("alpha", alpha)
     z = float(z)
-    if alpha == 1.0:
-        return math.exp(z)
     if z >= -1.0:
         return _ml_series(alpha, z)
     if z == -math.inf:

@@ -9,7 +9,7 @@ they fail, the outcome is a distinct "hypotheses-violated" report, never
 a theorem failure.
 
 Checks are stated at the discrete level, where the monotone L1 + M-matrix
-scheme makes them exact: nonnegativity holds to roundoff, and a negative
+scheme makes them exact: nonnegativity holds exactly, and a negative
 global minimum can only ever be attained at t = 0 (any later attainment
 would force a negative forcing value through the M-matrix row structure).
 The randomized driver sweeps an (alpha, beta) lattice with clipped random
@@ -137,23 +137,22 @@ def _extended_argmin(states: np.ndarray) -> tuple[float, tuple[int, int]]:
 
 
 def check_nonnegativity(sol: Solution) -> PrincipleReport:
-    """Nonnegativity check: u0 >= 0 and f >= 0 imply min u >= -tol.
+    """Nonnegativity check: u0 >= 0 and f >= 0 imply min u >= 0.
 
-    The discrete scheme is monotone, so the statement holds to roundoff,
-    which is stronger than the continuum theorem; tol is 1e-12 times the
-    data scale.
+    The discrete scheme is monotone and its inverse has no negative entry,
+    so the statement holds exactly in floating point, with no tolerance;
+    any negative state, however small, is a failure.
     """
     kind = "nonneg"
     if np.any(sol.states[0] < 0.0):
         return _hypotheses_report(kind, "u0 takes negative values")
     if np.any(sol.forcing < 0.0):
         return _hypotheses_report(kind, "forcing takes negative values")
-    tol = 1e-12 * _data_scale(sol)
     vmin, loc = _extended_argmin(sol.states)
     cls = classify(sol.problem.grid, sol.problem.mesh, *loc)
     return PrincipleReport(
         kind=kind,
-        status="pass" if vmin >= -tol else "fail",
+        status="pass" if vmin >= 0.0 else "fail",
         extremal_value=vmin,
         location=loc,
         location_class=cls,

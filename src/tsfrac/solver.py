@@ -69,8 +69,8 @@ products of nonnegatives.  The price is the backward error of inversion
 against solving (Higham, ch. 14): the relative step residual measured
 1.1-1.4 times the Cholesky one (README).
 
-Also here: the mollified test functions and the mollified weak-form
-residual used by the weak maximum-principle machinery.
+Also here: the mollified weak-form residual and the CSV and metadata
+serialization of a Solution.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ __all__ = [
     "Solution",
     "solve",
     "l1_stepper",
-    "mollified_test_function",
     "weak_residual",
     "solution_to_csv",
     "solution_metadata",
@@ -158,21 +157,16 @@ class Solution:
         object.__setattr__(self, "states", st)
 
 
-def solve(problem: ProblemSpec, A: FracLapMatrix | None = None) -> Solution:
-    """Assemble (once), sample the forcing and run all M L1-implicit steps.
+def solve(problem: ProblemSpec) -> Solution:
+    """Assemble the problem's operator, sample the forcing and run all M L1-implicit steps.
 
     A one-column call of the stepper that l1_stepper builds; deterministic
-    for fixed inputs.  Raises ValueError for a matrix assembled on another
-    grid or for another beta, for a non-finite u0 or forcing sample (checked
-    after the inversion, before the first step) and for states that
-    overflow.
+    for fixed inputs.  A caller with another operator calls l1_stepper
+    itself.  Raises ValueError for a non-finite u0 or forcing sample
+    (checked after the inversion, before the first step) and for states
+    that overflow.
     """
-    if A is None:
-        A = assemble_1d(problem.grid, problem.orders.beta)
-    elif A.grid != problem.grid:
-        raise ValueError("matrix assembled on a different grid")
-    elif A.beta != problem.orders.beta:
-        raise ValueError(f"matrix assembled for beta={A.beta}, not {problem.orders.beta}")
+    A = assemble_1d(problem.grid, problem.orders.beta)
     fsamp = problem.forcing_samples()
     step = l1_stepper(problem.orders.alpha, problem.grid, problem.mesh, A)
     states = step(problem.u0.values[None], fsamp[:, None])
@@ -280,44 +274,6 @@ def _sweep(H: np.ndarray) -> None:
     H21[...] = H12.T
 
 
-def mollified_test_function(phi: np.ndarray, m: int, mesh: TimeMesh) -> np.ndarray:
-    """eta(x, t) = int_t^T h_m(s - t) phi(x, s) ds, exactly per cell.
-
-    ``phi`` is a space-time array (time-major, shape (M+1, nx)), required
-    nonnegative with phi(., T) = 0.  The exponential is integrated exactly
-    against the piecewise-linear interpolant of phi on each cell, so eta
-    inherits nonnegativity and eta(., T) = 0 exactly.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != mesh.M + 1:
-        raise ValueError(f"phi must have shape (M+1, nx), got {phi.shape}")
-    if np.any(phi < 0.0):
-        raise ValueError("test-function profile must be nonnegative")
-    if np.any(phi[-1] != 0.0):
-        raise ValueError("test-function profile must vanish at t = T")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    tau = mesh.tau
-    M = mesh.M
-    # On cell [s_j, s_{j+1}], with offsets a = s_j - t: the exact weights of
-    # phi_j and phi_{j+1} against m exp(-m (s - t)) are
-    #   w_left  = E(a) (1 + 1/(m tau)) - E(b) / (m tau) - E(a) (a' terms)...
-    # assembled below from I0 = int m e^{-ms} ds and I1 = int m (s-a) e^{-ms} ds.
-    eta = np.zeros_like(phi)
-    ex = np.exp(-m * tau * np.arange(M + 1))  # e^{-m (s_q - t)} offsets on the grid
-    for nt in range(M):  # eta at t_nt; eta[M] = 0
-        nc = M - nt  # number of cells ahead
-        Ea = ex[:nc]  # e^{-m a_j}, a_j = j tau
-        Eb = ex[1 : nc + 1]
-        I0 = Ea - Eb  # int_cell m e^{-ms} ds
-        # int_cell m (s - a_j) e^{-ms} ds = a_j I0 + (I0/m - tau Eb)  - a_j I0
-        I1 = I0 / m - tau * Eb
-        w_left = I0 - I1 / tau
-        w_right = I1 / tau
-        eta[nt] = w_left @ phi[nt : nt + nc] + w_right @ phi[nt + 1 : nt + nc + 1]
-    return eta
-
-
 def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
     """LHS - RHS of the mollified weak form at time index n, tested with psi >= 0.
 
@@ -336,8 +292,6 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
         raise ValueError("test function lives on a different grid")
     if np.any(psi.values < 0.0):
         raise ValueError("test function must be nonnegative")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
     M = problem.mesh.M
     if not 1 <= n < M:
         raise ValueError(f"forward difference needs 1 <= n < M, got n={n}")

@@ -17,7 +17,7 @@ from scipy import integrate
 
 from tsfrac.exprparse import BinOp, Call, Expr, Neg, Num, Var
 
-from tsfrac.fraclap import Field, assemble_1d, bilinear_a, normalization_constant
+from tsfrac.fraclap import Field, bilinear_a, normalization_constant
 from tsfrac.principles import (
     PrincipleReport,
     TrialConfig,
@@ -87,21 +87,18 @@ def run_trials_reference(config: TrialConfig) -> PrincipleReport:
     """``run_trials`` with one ``solve`` per trial, in trial order.
 
     Each trial samples its forcing step by step through
-    ``ProblemSpec.forcing_samples`` and inverts its own b_0 I + A.
+    ``ProblemSpec.forcing_samples``, assembles its own A and inverts its
+    own b_0 I + A.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
     lattice = [(float(al), float(be)) for al in config.alphas for be in config.betas]
     grid, mesh = config.grid, config.mesh
 
-    matrices = {}
     worst: PrincipleReport | None = None
     for idx, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         alpha, beta = lattice[idx % len(lattice)]
-        if beta not in matrices:
-            matrices[beta] = assemble_1d(grid, beta)
-        A = matrices[beta]
 
         u0 = _random_bump(rng, grid)
         if config.kind != "boundary-min":
@@ -114,7 +111,7 @@ def run_trials_reference(config: TrialConfig) -> PrincipleReport:
             f = lambda xs, t, base=f, slack=slack: base(xs, t) + slack
 
         problem = ProblemSpec(FracOrders(alpha, beta), grid, mesh, Field(grid, u0), f)
-        sol = solve(problem, A=A)
+        sol = solve(problem)
 
         if config.kind == "boundary-min":
             report = check_parabolic_boundary(sol)

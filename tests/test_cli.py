@@ -193,6 +193,20 @@ class TestConvergenceCommand:
         assert capsys.readouterr().err == ""
         assert (out / "convergence.csv").exists()
 
+    def test_mittag_leffler_rows_are_first_order(self, tmp_path):
+        # The L1 stepper on the scalar relaxation against E_alpha(-1) at
+        # alpha = 0.5: errors 6.4e-4 down to 7.9e-5, orders 1.005-1.011.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "c"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()]
+        ml = [(int(r[1]), float(r[2]), float(r[3])) for r in rows if r[0] == "mittag-leffler"]
+        assert [M for M, _, _ in ml] == [256, 512, 1024, 2048]
+        errs = [e for _, e, _ in ml]
+        assert all(e0 > e1 for e0, e1 in zip(errs, errs[1:])), errs
+        assert errs[-1] < 1e-3
+        assert all(0.9 <= o <= 1.1 for _, _, o in ml[1:]), ml
+
 
 class TestExitCodes:
     def test_config_errors_exit_two(self, tmp_path):

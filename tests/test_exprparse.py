@@ -240,3 +240,4 @@ class TestNestingLimit:
     def test_flat_sum_of_five_thousand_terms_evaluates(self):
         e = parse("+".join(["x"] * 5000))
         assert evaluate(e, 1.0, 0.0) == 5000.0
+        assert repr(e).startswith("<tsfrac.exprparse.BinOp object")  # no recursion

@@ -45,9 +45,6 @@ ONE_MINUS_EXP_M4 = 0.9816843611112658
 
 
 class TestGKernel:
-    def test_gamma_one_is_flat(self):
-        assert g_kernel(1.0, 7.3) == pytest.approx(1.0, abs=1e-15)
-
     def test_half_order_at_one(self):
         assert g_kernel(0.5, 1.0) == pytest.approx(INV_SQRT_PI, rel=1e-14)
 
@@ -56,7 +53,7 @@ class TestGKernel:
 
     def test_positivity(self):
         t = np.geomspace(1e-8, 10.0, 50)
-        for gamma in (0.1, 0.5, 0.9, 1.0):
+        for gamma in (0.1, 0.5, 0.9):
             assert np.all(g_kernel(gamma, t) > 0.0)
 
     def test_divergence_at_origin(self):
@@ -128,6 +125,9 @@ class TestHKernel:
             h_kernel(0, 1.0)
         with pytest.raises(ValueError):
             h_kernel(2, -0.5)
+        # regularized_kernel leaves the m check to the h_kernel it calls
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            regularized_kernel(0.5, 0, TimeMesh(1.0, 4))
 
 
 class TestRegularizedKernel:
@@ -256,12 +256,8 @@ class TestApproximateIdentity:
 
 
 class TestMittagLeffler:
-    def test_exponential_case(self):
-        assert mittag_leffler(1.0, 1.0) == pytest.approx(np.e, rel=1e-15)
-        assert mittag_leffler(1.0, -3.0) == pytest.approx(np.exp(-3.0), rel=1e-14)
-
     def test_value_one_at_zero(self):
-        for alpha in (0.1, 0.5, 0.77, 1.0):
+        for alpha in (0.1, 0.5, 0.77):
             assert mittag_leffler(alpha, 0.0) == 1.0
 
     def test_frozen_half_order_value(self):
@@ -369,6 +365,9 @@ def test_fractional_orders_share_one_check(bad):
         ("beta", lambda: normalization_constant(bad)),
         ("alpha", lambda: regularized_kernel(bad, 4, mesh)),
         ("alpha", lambda: monotone_regularized_kernel(bad, 4, mesh)),
+        ("gamma", lambda: g_kernel(bad, 1.0)),
+        ("gamma", lambda: g_cell_integral(bad, 0.0, 1.0)),
+        ("alpha", lambda: mittag_leffler(bad, -1.0)),
     )
     for name, call in cases:
         with pytest.raises(ValueError) as err:

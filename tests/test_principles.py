@@ -3,7 +3,8 @@
 Boundary classification is checked exhaustively on small grids against
 the definition (parabolic boundary = initial slice plus lateral layer,
 never the terminal interior).  The theorem checks themselves are exact
-discrete statements, so the tolerances here are roundoff-sized.
+discrete statements: the nonnegativity check has no tolerance, and the
+boundary check's near-tie rule is roundoff-sized.
 """
 
 import json
@@ -100,6 +101,17 @@ class TestNonnegativity:
         report = check_nonnegativity(sol)
         assert report.status == "pass"
         assert report.violation == 0.0
+
+    def test_any_negative_state_fails(self):
+        # Positivity is exact, so there is no tolerance: one state of
+        # -1e-300 under u0 >= 0 and f >= 0 fails, and the violation says so.
+        sol = solve(small_problem(np.ones(16)))
+        states = sol.states.copy()
+        states[5, 7] = -1e-300
+        report = check_nonnegativity(Solution(problem=sol.problem, states=states, forcing=sol.forcing))
+        assert report.status == "fail"
+        assert report.violation == 1e-300
+        assert report.location == (8, 5)
 
     def test_hypotheses_violation_is_not_a_failure(self):
         x = SpaceGrid(-1.0, 1.0, 16).nodes()

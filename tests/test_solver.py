@@ -1,7 +1,7 @@
 """Time-stepper tests.
 
-The scalar-relaxation oracle: with the operator replaced by the 1x1
-matrix [lambda] and zero forcing, the exact solution is
+The scalar-relaxation oracle: the L1 stepper with the 1x1 operator
+[lambda] and zero forcing, whose exact solution is
 u0 * E_alpha(-lambda t^alpha), evaluated by the independent
 Mittag-Leffler routine.  Positivity and comparison are exact discrete
 properties of the L1 + M-matrix scheme and are tested at roundoff scale.
@@ -23,7 +23,6 @@ from tsfrac.solver import (
     Solution,
     config_hash,
     l1_stepper,
-    mollified_test_function,
     solution_metadata,
     solution_to_csv,
     solve,
@@ -37,13 +36,11 @@ from oracles import gl_weights, weak_residual_reference
 ZERO_F = lambda x, t: np.zeros_like(x)
 
 
-def scalar_problem(alpha, M, u0=1.0, T=1.0):
+def scalar_relaxation(alpha, M):
+    """u^0 .. u^M of the L1 stepper with the 1x1 operator [1], u0 = 1 and f = 0 on [0, 1]."""
     grid = SpaceGrid(-1.0, 1.0, 1)
     lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]))
-    problem = ProblemSpec(
-        FracOrders(alpha, 0.5), grid, TimeMesh(T, M), Field(grid, np.array([u0])), ZERO_F
-    )
-    return problem, lam
+    return l1_stepper(alpha, grid, TimeMesh(1.0, M), lam)(np.ones((1, 1)), np.zeros((M + 1, 1, 1)))[:, 0, 0]
 
 
 def bump_problem(alpha=0.5, beta=0.5, n=32, M=48, u0_fn=None, f_fn=None):
@@ -64,7 +61,7 @@ class TestStepAndSolve:
         # (b_0 I + A) u^k = sum_{j=1}^{k-1} (b_{j-1} - b_j) u^{k-j} + b_{k-1} u^0 + f^k
         problem = bump_problem(M=12, f_fn=lambda x, t: (1.0 - x**2) * (1.0 + t))
         A = assemble_1d(problem.grid, problem.orders.beta)
-        sol = solve(problem, A=A)
+        sol = solve(problem)
         b = l1_weights(problem.orders.alpha, problem.mesh.tau, problem.mesh.M)
         u = sol.states
         for k in (1, 5, 12):
@@ -75,37 +72,32 @@ class TestStepAndSolve:
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
     def test_scalar_relaxation_vs_mittag_leffler(self):
-        problem, lam = scalar_problem(0.5, 2048)
-        sol = solve(problem, A=lam)
+        u = scalar_relaxation(0.5, 2048)
         exact = mittag_leffler(0.5, -1.0)
-        assert abs(sol.states[-1, 0] - exact) / exact < 1e-2
+        assert abs(u[-1] - exact) / exact < 1e-2
 
     def test_gl_cross_check_on_scalar(self):
         # Grunwald-Letnikov oracle for the scalar relaxation with lambda = 1:
         # tau^-alpha sum_{j=0}^{n} w_j (u^{n-j} - u^0) + u^n = 0
         alpha, M = 0.5, 2048
-        problem, lam = scalar_problem(alpha, M)
         w = gl_weights(alpha, M)
-        scale = problem.mesh.tau ** (-alpha)
+        scale = (1.0 / M) ** (-alpha)
         u = np.empty(M + 1)
         u[0] = 1.0
         for n in range(1, M + 1):
             hist = w[1 : n + 1] @ (u[n - 1 :: -1] - u[0])  # u^{n-1}, ..., u^0
             u[n] = scale * (u[0] - hist) / (scale + 1.0)
         assert u[-1] == pytest.approx(mittag_leffler(alpha, -1.0), rel=1e-2)
-        assert u[-1] == pytest.approx(solve(problem, A=lam).states[-1, 0], rel=1e-2)
+        assert u[-1] == pytest.approx(scalar_relaxation(alpha, M)[-1], rel=1e-2)
 
     def test_exact_positivity(self):
         rng = np.random.default_rng(51)
         grid = SpaceGrid(-1.0, 1.0, 48)
         mesh = TimeMesh(1.0, 64)
         x = grid.nodes()
-        matrices = {}
         for _ in range(20):
             alpha = rng.choice([0.3, 0.5, 0.7, 0.9])
             beta = rng.choice([0.3, 0.5, 0.7, 0.9])
-            if beta not in matrices:
-                matrices[beta] = assemble_1d(grid, beta)
             c = rng.uniform(-1, 1, 5)
             u0 = np.maximum(0.0, sum(ci * np.sin((k + 1) * np.pi * (x + 1) / 2) for k, ci in enumerate(c)))
             d = rng.uniform(-1, 1, 5)
@@ -113,7 +105,7 @@ class TestStepAndSolve:
                 0.0, sum(di * np.sin((k + 1) * np.pi * (xx + 1) / 2) for k, di in enumerate(d))
             ) * abs(np.cos(3 * t))
             problem = ProblemSpec(FracOrders(alpha, beta), grid, mesh, Field(grid, u0), f)
-            sol = solve(problem, A=matrices[beta])
+            sol = solve(problem)
             scale = max(1.0, np.max(u0), np.max(sol.forcing))
             assert sol.states.min() >= -1e-12 * scale
 
@@ -122,7 +114,6 @@ class TestStepAndSolve:
         grid = SpaceGrid(-1.0, 1.0, 32)
         mesh = TimeMesh(1.0, 40)
         x = grid.nodes()
-        A = assemble_1d(grid, 0.6)
         for _ in range(10):
             base = rng.uniform(-1, 1, 4)
             extra = rng.uniform(0, 1, 4)
@@ -131,8 +122,8 @@ class TestStepAndSolve:
                 ei * (1 + np.sin((k + 1) * np.pi * (xx + 1) / 2) ** 2) for k, ei in enumerate(e)
             )
             u0 = Field(grid, rng.uniform(-1, 1, 32))
-            s1 = solve(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, u0, f1), A=A)
-            s2 = solve(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, u0, f2), A=A)
+            s1 = solve(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, u0, f1))
+            s2 = solve(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, u0, f2))
             scale = max(1.0, np.max(np.abs(s1.states)), np.max(np.abs(s2.states)))
             assert np.all(s1.states <= s2.states + 1e-12 * scale)
 
@@ -175,15 +166,6 @@ class TestStepAndSolve:
             FracOrders(0.0, 0.5)
         with pytest.raises(ValueError):
             FracOrders(0.5, 1.0)
-        problem = bump_problem()
-        other = assemble_1d(SpaceGrid(0.0, 1.0, 32), 0.5)
-        with pytest.raises(ValueError):
-            solve(problem, A=other)
-
-    def test_matrix_for_other_beta_rejected(self):
-        problem = bump_problem(beta=0.5)
-        with pytest.raises(ValueError, match="beta"):
-            solve(problem, A=assemble_1d(problem.grid, 0.3))
 
 
 def l1_reference(problem, A):
@@ -260,7 +242,7 @@ class TestBlockedHistorySum:
             lambda x, t: F[int(round(t / mesh.tau))],
         )
         A = assemble_1d(grid, 0.6)
-        got = solve(problem, A=A).states
+        got = solve(problem).states
         ref = l1_reference(problem, A)
         assert np.array_equal(got[:257], ref[:257])
         if M <= 256:
@@ -271,7 +253,7 @@ class TestBlockedHistorySum:
     def test_residual_across_block_boundaries(self):
         problem = bump_problem(alpha=0.7, n=24, M=600, f_fn=lambda x, t: (1.0 - x**2) * (1.0 + t))
         A = assemble_1d(problem.grid, problem.orders.beta)
-        sol = solve(problem, A=A)
+        sol = solve(problem)
         for k in (1, 255, 256, 257, 511, 512, 513, 600):
             assert l1_residual(sol, A, k) <= 1e-12, k
 
@@ -281,7 +263,7 @@ class TestBlockedHistorySum:
         # exactly nonnegative with no clamp anywhere.
         problem = bump_problem(n=32, M=8192, u0_fn=lambda x: np.maximum(0.0, 1.0 - 16.0 * x**2))
         A = assemble_1d(problem.grid, problem.orders.beta)
-        sol = solve(problem, A=A)
+        sol = solve(problem)
         assert check_nonnegativity(sol).violation == 0.0
         assert sol.states.min() >= 0.0
         assert l1_residual(sol, A, 8192) <= 1e-12
@@ -311,7 +293,7 @@ class TestInverseStep:
     def test_matches_cho_solve_oracle(self, n, M, alpha):
         problem = random_problem(n, M, alpha, 0.6, seed=10 * n + M + int(10 * alpha))
         A = assemble_1d(problem.grid, 0.6)
-        got = solve(problem, A=A).states
+        got = solve(problem).states
         np.testing.assert_allclose(got, cho_solve_reference(problem, A), rtol=1e-13, atol=0.0)
         assert got.min() >= 0.0
 
@@ -387,7 +369,7 @@ class TestManyColumns:
         A = assemble_1d(problem.grid, 0.6)
         got = l1_stepper(0.7, problem.grid, problem.mesh, A)(problem.u0.values[None],
                                                              problem.forcing_samples()[:, None])
-        assert np.array_equal(got[:, 0], solve(problem, A=A).states)
+        assert np.array_equal(got[:, 0], solve(problem).states)
 
     def test_non_finite_data_in_a_later_column(self):
         grid, mesh, u0, F = self.data(16, 3, 8, seed=5)
@@ -457,46 +439,6 @@ class TestForcingSamples:
             problem.forcing_samples()
 
 
-class TestMollifiedTestFunction:
-    def test_zero_profile(self):
-        mesh = TimeMesh(1.0, 16)
-        eta = mollified_test_function(np.zeros((17, 3)), 4, mesh)
-        assert np.all(eta == 0.0)
-
-    def test_limiting_plateau_closed_form(self):
-        # phi = 1 below T: eta(t) = 1 - exp(-m (T - t)) up to the taper cell
-        m, M = 8, 1024
-        mesh = TimeMesh(1.0, M)
-        phi = np.ones((M + 1, 2))
-        phi[-1] = 0.0
-        eta = mollified_test_function(phi, m, mesh)
-        t = mesh.times()
-        expected = 1.0 - np.exp(-m * (1.0 - t))
-        # away from T the only discrepancy is the final taper cell's mass
-        taper = m * np.exp(-m * (1.0 - mesh.tau)) * mesh.tau
-        assert abs(eta[0, 0] - expected[0]) < taper
-        assert np.max(np.abs(eta[:, 0] - expected)) < m * mesh.tau
-
-    def test_nonnegativity_preserved(self):
-        rng = np.random.default_rng(61)
-        mesh = TimeMesh(1.0, 64)
-        phi = rng.uniform(0.0, 2.0, (65, 5))
-        phi[-1] = 0.0
-        eta = mollified_test_function(phi, 16, mesh)
-        assert np.all(eta >= 0.0)
-        assert np.all(eta[-1] == 0.0)
-
-    def test_contract_violations(self):
-        mesh = TimeMesh(1.0, 8)
-        bad = -np.ones((9, 2))
-        bad[-1] = 0.0
-        with pytest.raises(ValueError):
-            mollified_test_function(bad, 4, mesh)
-        nonzero_end = np.ones((9, 2))
-        with pytest.raises(ValueError):
-            mollified_test_function(nonzero_end, 4, mesh)
-
-
 class TestWeakResidual:
     @staticmethod
     def _bump_psi(grid):
@@ -514,6 +456,8 @@ class TestWeakResidual:
         sol = solve(problem)
         with pytest.raises(ValueError):
             weak_residual(sol, Field(problem.grid, -np.ones(16)), 8, 8)
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            weak_residual(sol, Field(problem.grid, np.ones(16)), 0, 8)
 
     def test_self_convergence_for_solved_problem(self):
         f = lambda x, t: 0.5 * (1.0 + np.cos(np.pi * x)) * np.exp(-t)
