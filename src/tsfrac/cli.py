@@ -243,10 +243,6 @@ def _coerce(key, value, typ):
     return value
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _outdir(config: RunConfig, override: str | None) -> Path:
     out = Path(override if override is not None else config.out)
     try:
@@ -354,122 +350,113 @@ def cmd_verify(config: RunConfig, suite: str, out_override: str | None = None) -
     return 1 if any_fail else 0
 
 
-def _order(errs):
-    return [
-        float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("nan")
-        for i in range(len(errs) - 1)
-    ]
+def _study(name: str, resolutions, error) -> list:
+    """Rows (name, resolution, error, observed order) of one study, error(r) taken level by level.
+
+    The order is log2 of the previous error over this one; nan at the first level and after a zero.
+    """
+    errs = [error(r) for r in resolutions]
+    orders = [math.nan] + [float(np.log2(e0 / e1)) if e1 > 0 else math.nan for e0, e1 in zip(errs, errs[1:])]
+    return [(name, r, e, o) for r, e, o in zip(resolutions, errs, orders)]
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write rows as CSV lines: strings and ints as str, floats with 17 significant digits."""
+    lines = [",".join(str(c) if isinstance(c, (str, int)) else f"{c:.17g}" for c in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
     out = _outdir(config, out_override)
+    alpha, beta = config.alpha, config.beta
     rows = [("study", "resolution", "error", "observed_order")]
 
     # Caputo L1 order on u = t^2 against the closed form 2 t^(2-a)/Gamma(3-a).
-    alpha = config.alpha
     exact = 2.0 / math.gamma(3.0 - alpha)
-    errs = []
-    resol = (256, 512, 1024, 2048)
-    for M in resol:
+
+    def caputo_error(M):
         tau = 1.0 / M
         ts = kernels.TimeSeries(tau, (tau * np.arange(M + 1)) ** 2)
-        errs.append(abs(timefrac.caputo_l1(ts, alpha, M) - exact))
-    orders = [float("nan")] + _order(errs)
-    for M, e, o in zip(resol, errs, orders):
-        rows.append(("caputo-l1", M, e, o))
+        return abs(timefrac.caputo_l1(ts, alpha, M) - exact)
+
+    rows += _study("caputo-l1", (256, 512, 1024, 2048), caputo_error)
 
     # Fractional Laplacian on the Getoor profile over (-1, 1) at the config beta.
-    beta = config.beta
     const = (
         2.0**(2 * beta)
         * math.gamma(1 + beta)
         * math.gamma((1 + 2 * beta) / 2.0)
         / math.gamma(0.5)
     )
-    errs = []
-    resol_n = (128, 256, 512)
-    for n in resol_n:
+
+    def getoor_error(n):
         grid = fraclap.SpaceGrid(-1.0, 1.0, n)
         A = fraclap.assemble_1d(grid, beta)
         x = grid.nodes()
-        u = fraclap.Field(grid, (1.0 - x**2) ** beta)
-        Au = fraclap.apply(A, u).values
-        errs.append(float(np.max(np.abs(Au[np.abs(x) <= 0.5] - const))))
-    orders = [float("nan")] + _order(errs)
-    for n, e, o in zip(resol_n, errs, orders):
-        rows.append(("getoor", n, e, o))
+        Au = fraclap.apply(A, fraclap.Field(grid, (1.0 - x**2) ** beta)).values
+        return float(np.max(np.abs(Au[np.abs(x) <= 0.5] - const)))
+
+    rows += _study("getoor", (128, 256, 512), getoor_error)
 
     # Scalar relaxation vs the Mittag-Leffler oracle: the L1 stepper with
     # the 1 x 1 operator [1], u0 = 1 and zero forcing.
-    errs = []
-    resol_m = (256, 512, 1024, 2048)
     exactml = kernels.mittag_leffler(alpha, -1.0)
     grid1 = fraclap.SpaceGrid(-1.0, 1.0, 1)
     lam = fraclap.FracLapMatrix(beta=beta, grid=grid1, entries=np.array([[1.0]]))
-    for M in resol_m:
+
+    def relaxation_error(M):
         step = solver.l1_stepper(alpha, grid1, kernels.TimeMesh(1.0, M), lam)
         states = step(np.ones((1, 1)), np.zeros((M + 1, 1, 1)))
-        errs.append(abs(float(states[-1, 0, 0]) - exactml) / abs(exactml))
-    orders = [float("nan")] + _order(errs)
-    for M, e, o in zip(resol_m, errs, orders):
-        rows.append(("mittag-leffler", M, e, o))
+        return abs(float(states[-1, 0, 0]) - exactml) / abs(exactml)
 
-    # Mollified weak-residual decay under simultaneous (tau, h) halving.
-    errs = []
-    levels = ((32, 24), (64, 48), (128, 96))
-    for Mt, nx in levels:
+    rows += _study("mittag-leffler", (256, 512, 1024, 2048), relaxation_error)
+
+    # Mollified weak-residual decay under simultaneous (tau, h) halving:
+    # M steps on [0, T] and n = 3M/4 interior nodes on (a, b).
+    mid = 0.5 * (config.a + config.b)
+    wid = 0.5 * (config.b - config.a)
+
+    def weak_error(Mt):
+        nx = 3 * Mt // 4
         problems = _float_range_errors(config.a, config.b, nx, config.T, Mt)
         if problems:
             raise ConfigError(f"convergence: {problems[0]}")
         grid = fraclap.SpaceGrid(config.a, config.b, nx)
-        mesh = kernels.TimeMesh(config.T, Mt)
         x = grid.nodes()
-        mid = 0.5 * (config.a + config.b)
-        wid = 0.5 * (config.b - config.a)
         u0 = fraclap.Field(grid, np.maximum(0.0, 1.0 - ((x - mid) / (0.5 * wid)) ** 2))
         problem = solver.ProblemSpec(
-            solver.FracOrders(alpha, beta), grid, mesh, u0,
+            solver.FracOrders(alpha, beta), grid, kernels.TimeMesh(config.T, Mt), u0,
             lambda xx, t: 0.5 * (1.0 + np.cos(np.pi * (xx - mid) / wid)),
         )
         sol = solver.solve(problem)
         psi = fraclap.Field(grid, np.maximum(0.0, 1.0 - ((x - mid) / (0.33 * wid)) ** 2) ** 2)
-        errs.append(abs(solver.weak_residual(sol, psi, m=64, n=Mt // 2)))
-    orders = [float("nan")] + _order(errs)
-    for (Mt, nx), e, o in zip(levels, errs, orders):
-        rows.append(("weak-residual", Mt, e, o))
+        return abs(solver.weak_residual(sol, psi, m=64, n=Mt // 2))
 
-    lines = [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row) for row in rows]
-    (out / "convergence.csv").write_text("\n".join(lines) + "\n")
+    rows += _study("weak-residual", (32, 64, 128), weak_error)
+
+    _write_csv(out / "convergence.csv", rows)
     print(f"convergence: wrote {out / 'convergence.csv'}")
     return 0
 
 
 def cmd_kernel_table(config: RunConfig, out_override: str | None = None) -> int:
+    alpha = config.alpha
+    # The kernels take the order 1 - alpha, which must stay below 1.
+    if 1.0 - alpha == 1.0:
+        raise ConfigError(f"kernel-table: key 'alpha': 1 - alpha rounds to 1.0 at alpha={alpha!r}")
     out = _outdir(config, out_override)
     mesh = config.mesh()
     times = mesh.times()
-    alpha = config.alpha
-    ladder = config.m_ladder
-    cols = {"t": times}
-    graw = np.empty_like(times)
-    graw[0] = np.inf
-    graw[1:] = kernels.g_kernel(1.0 - alpha, times[1:])
-    cols["g"] = graw
-    for m in ladder:
+    cols = {"t": times, "g": np.concatenate([[np.inf], kernels.g_kernel(1.0 - alpha, times[1:])])}
+    for m in config.m_ladder:
         cols[f"h_m{m}"] = kernels.h_kernel(m, times)
         cols[f"greg_m{m}"] = kernels.regularized_kernel(alpha, m, mesh).values
-    header = ",".join(cols)
-    lines = [header]
-    for i in range(len(times)):
-        lines.append(",".join(_fmt(float(cols[c][i])) for c in cols))
-    (out / "kernel_table.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "kernel_table.csv", [list(cols), *zip(*(c.tolist() for c in cols.values()))])
 
     # L1 distances ||greg_m - g|| on [0, T] via fine-mesh quadrature.
     fine = kernels.TimeMesh(config.T, 8192)
-    dlines = ["m,l1_distance"]
-    for m in ladder:
-        dlines.append(f"{m},{_fmt(_l1_distance(alpha, m, fine))}")
-    (out / "kernel_distances.csv").write_text("\n".join(dlines) + "\n")
+    distances = [(m, _l1_distance(alpha, m, fine)) for m in config.m_ladder]
+    _write_csv(out / "kernel_distances.csv", [("m", "l1_distance"), *distances])
     print(f"kernel-table: wrote {out / 'kernel_table.csv'} and {out / 'kernel_distances.csv'}")
     return 0
 

@@ -190,13 +190,14 @@ def convolve(k: TimeSeries, u: TimeSeries) -> TimeSeries:
     return TimeSeries(tau, out)
 
 
-_ML_SERIES_TERMS = 100_000  # 17,600 terms suffice at alpha = 0.001 on [-1, 1]
+_ML_SERIES_TERMS = 100_000  # 17,600 terms suffice at alpha = 0.001 on [-1, 0]
 
 
 def _ml_series(alpha: float, z: float) -> float:
-    """Power series sum_k z^k/Gamma(alpha k + 1), term-ratio stopping.
+    """Power series sum_k z^k/Gamma(alpha k + 1) for -1 <= z <= 0, term-ratio stopping.
 
-    For |z| <= 1 the terms fall below 1e-15 of the sum once
+    Term k has magnitude |z|^k/Gamma(alpha k + 1) <= 1/Gamma(alpha k + 1)
+    and is negative for odd k.  The terms fall below 1e-15 of the sum once
     Gamma(alpha k + 1) passes about 1e15, near alpha k = 18, so the term
     count grows as 18/alpha (17,600 terms at alpha = 0.001, z = -1).  It is
     capped at _ML_SERIES_TERMS, which covers alpha down to about 2e-4;
@@ -204,18 +205,12 @@ def _ml_series(alpha: float, z: float) -> float:
     """
     terms = [1.0]
     total = 1.0
-    loga = math.log(abs(z)) if z != 0.0 else -math.inf
+    loga = math.log(-z) if z != 0.0 else -math.inf
     for k in range(1, _ML_SERIES_TERMS + 1):
-        try:
-            mag = math.exp(k * loga - math.lgamma(alpha * k + 1.0))
-        except OverflowError:
-            # Only reachable for large positive z, where E_alpha overflows too.
-            return math.inf
-        term = mag if z >= 0.0 or k % 2 == 0 else -mag
+        mag = math.exp(k * loga - math.lgamma(alpha * k + 1.0))
+        term = -mag if k % 2 else mag
         terms.append(term)
         total += term
-        if not math.isfinite(total):
-            return math.inf  # positive z beyond float64 range
         if abs(term) < 1e-15 * abs(total):
             return float(math.fsum(terms))
     raise RuntimeError(
@@ -275,20 +270,23 @@ def _ml_spectral(alpha: float, x: float) -> float:
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0,1), for real z.
+    """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0,1), for z <= 0.
 
-    Regimes: the power series sum z^k / Gamma(alpha*k + 1) with term-ratio
-    stopping (|term| < 1e-15 * |sum|) for z >= -1, and one fixed tanh-sinh
-    rule on the spectral integral for every z < -1.  On the negative axis
-    the alternating series cancels: its largest term is roughly
-    exp(|z|^(1/alpha)) (beyond 1e19 for alpha = 0.5 at z = -7, while the sum
-    is O(0.1)), and already at z = -4.6^alpha the rounding of its terms
-    costs 1e-13 relative.  Up to |z| = 1 its terms stay O(1), and the rule,
-    whose error grows as x -> 0 for small alpha, starts where it is below
-    1e-15 for alpha >= 0.02.  E_alpha(-inf) = 0.
+    z > 0 and NaN raise ValueError.  Regimes: the power series
+    sum z^k / Gamma(alpha*k + 1) with term-ratio stopping (|term| < 1e-15 *
+    |sum|) for -1 <= z <= 0, and one fixed tanh-sinh rule on the spectral
+    integral for every z < -1.  On the negative axis the alternating series
+    cancels: its largest term is roughly exp(|z|^(1/alpha)) (beyond 1e19 for
+    alpha = 0.5 at z = -7, while the sum is O(0.1)), and already at
+    z = -4.6^alpha the rounding of its terms costs 1e-13 relative.  Up to
+    |z| = 1 its terms stay O(1), and the rule, whose error grows as x -> 0
+    for small alpha, starts where it is below 1e-15 for alpha >= 0.02.
+    E_alpha(-inf) = 0.
     """
     check_order("alpha", alpha)
     z = float(z)
+    if not z <= 0.0:
+        raise ValueError(f"mittag_leffler requires z <= 0, got {z}")
     if z >= -1.0:
         return _ml_series(alpha, z)
     if z == -math.inf:

@@ -317,11 +317,10 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
 def solution_to_csv(sol: Solution) -> str:
     """Serialize as CSV rows t, x, u with 17 significant digits."""
     lines = ["t,x,u"]
-    times = sol.problem.mesh.times()
-    xs = sol.problem.grid.nodes()
-    for nt, t in enumerate(times):
-        for i, x in enumerate(xs):
-            lines.append(f"{t:.17g},{x:.17g},{sol.states[nt, i]:.17g}")
+    xs = [f",{x:.17g}," for x in sol.problem.grid.nodes().tolist()]
+    for t, us in zip(sol.problem.mesh.times().tolist(), sol.states):
+        ts = f"{t:.17g}"
+        lines += [f"{ts}{x}{u:.17g}" for x, u in zip(xs, us.tolist())]
     return "\n".join(lines) + "\n"
 
 

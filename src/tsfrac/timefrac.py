@@ -59,22 +59,19 @@ def caputo_l1(u: TimeSeries, alpha: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ConvexVerdicts:
-    """Per-index outcomes of the three convex-part inequalities.
+    """Per-index outcomes of the two convex-part inequalities.
 
     Arrays are indexed like the input series; entry 0 is vacuously True
     (no completed step).  ``plus_part``: u+_n D(k*u)_n >= 1/2 D(k*(u+)^2)_n
-    within tol; ``plus_part_negated``: the same inequality for -u;
-    ``minus_part``: u-_n D(k*u)_n <= -1/2 D(k*(u-)^2)_n within tol.
+    within tol; ``minus_part``: u-_n D(k*u)_n <= -1/2 D(k*(u-)^2)_n within
+    tol, which is the ``plus_part`` inequality for -u, since (-u)+ = u-.
     """
 
     plus_part: np.ndarray
-    plus_part_negated: np.ndarray
     minus_part: np.ndarray
 
     def all_ok(self) -> bool:
-        return bool(
-            np.all(self.plus_part) and np.all(self.plus_part_negated) and np.all(self.minus_part)
-        )
+        return bool(np.all(self.plus_part) and np.all(self.minus_part))
 
 
 def convex_inequality_check(u: TimeSeries, k: TimeSeries) -> ConvexVerdicts:
@@ -117,24 +114,20 @@ def convex_inequality_check(u: TimeSeries, k: TimeSeries) -> ConvexVerdicts:
         return (x[1:] - x[:-1]) / tau
 
     s_plus = up[1:] * D(cu) - 0.5 * D(cp2)
-    s_plus_neg = um[1:] * D(-cu) - 0.5 * D(cm2)
     s_minus = -(um[1:] * D(cu) + 0.5 * D(cm2))
     pad = np.array([True])
     return ConvexVerdicts(
         plus_part=np.concatenate([pad, s_plus >= -tol]),
-        plus_part_negated=np.concatenate([pad, s_plus_neg >= -tol]),
         minus_part=np.concatenate([pad, s_minus >= -tol]),
     )
 
 
-def rl_extremum_sign(
-    u: TimeSeries, alpha: float, n0: int, mode: str, tol: float | None = None
-) -> tuple[float, bool]:
+def rl_extremum_sign(u: TimeSeries, alpha: float, n0: int, mode: str) -> tuple[float, bool]:
     """L1-discrete derivative of u - u_0 at a global extremum index, plus verdict.
 
     At a discrete global max over 0..M the value is >= 0 exactly (and <= 0
     at a min); the verdict allows -tol (max mode) or +tol (min mode) of
-    roundoff, with tol defaulting to 1e-10 * tau^(-alpha) * max(1, range of u).
+    roundoff, with tol = 1e-10 * tau^(-alpha) * max(1, range of u).
     The index must satisfy n0 >= 1 and actually attain the extremum.
     """
     if mode not in ("max", "min"):
@@ -149,7 +142,6 @@ def rl_extremum_sign(
     if mode == "min" and v[n0] > np.min(v):
         raise ValueError(f"u does not attain its minimum at n0={n0}")
     value = caputo_l1(u, alpha, n0)
-    if tol is None:
-        tol = 1e-10 * u.tau ** (-alpha) * max(1.0, float(np.ptp(v)))
+    tol = 1e-10 * u.tau ** (-alpha) * max(1.0, float(np.ptp(v)))
     ok = value >= -tol if mode == "max" else value <= tol
     return value, bool(ok)

@@ -176,6 +176,15 @@ class TestKernelTableCommand:
         d8 = float(dist_lines[2].split(",")[1])
         assert d2 > d8 > 0.0
 
+    def test_alpha_whose_complement_rounds_to_one_exit_two(self, tmp_path, capsys):
+        # the kernels take the order 1 - alpha, which is 1.0 below alpha ~ 1.1e-16
+        cfg = write_config(tmp_path, {"M": 16, "alpha": 1e-300})
+        assert main(["kernel-table", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'alpha'" in err[0], err
+        cfg = write_config(tmp_path, {"M": 16, "alpha": 1.2e-16}, name="just_above.json")
+        assert main(["kernel-table", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 0
+
 
 class TestConvergenceCommand:
     def test_tiny_alpha_exit_zero(self, tmp_path):

@@ -335,6 +335,10 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0)
         with pytest.raises(ValueError):
             mittag_leffler(1.2, 1.0)
+        # only the relaxation axis z <= 0 is evaluated
+        for z in (1e-3, 1.0, math.nan):
+            with pytest.raises(ValueError, match="requires z <= 0"):
+                mittag_leffler(0.5, z)
 
 
 class TestDataTypes:

@@ -509,6 +509,16 @@ class TestSerialization:
         assert (t, x) == (0.0, problem.grid.nodes()[0])
         assert u == pytest.approx(sol.states[0, 0])
 
+    def test_csv_matches_cell_by_cell_reference(self):
+        # every cell formatted from the numpy arrays, one row at a time
+        sol = solve(bump_problem(M=16, n=9))
+        times, xs = sol.problem.mesh.times(), sol.problem.grid.nodes()
+        ref = ["t,x,u"] + [
+            f"{t:.17g},{x:.17g},{sol.states[nt, i]:.17g}"
+            for nt, t in enumerate(times) for i, x in enumerate(xs)
+        ]
+        assert solution_to_csv(sol) == "\n".join(ref) + "\n"
+
     def test_metadata_and_hash_stability(self):
         problem = bump_problem(M=2, n=3)
         sol = solve(problem)
