@@ -57,31 +57,63 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {offset}{hint}")
 
 
-# repr=False: the generated repr recurses, and a 5,000-term sum is 5,000 nodes deep.
-@dataclass(frozen=True, repr=False)
-class Num:
+class _Node:
+    """Structural == and hash over one walk of the tree with an explicit stack.
+
+    The generated ones (and repr) recurse, and a 5,000-term sum is 5,000
+    nodes deep.  The walk lists each node's type, own field values and
+    number of children, which fixes the tree.
+    """
+
+    def _walk(self) -> list:
+        out, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            own, kids = [], []
+            for v in vars(node).values():  # the fields, in order
+                if isinstance(v, _Node):
+                    kids.append(v)
+                elif isinstance(v, tuple):  # Call.args
+                    kids += v
+                else:
+                    own.append(v)
+            out.append((type(node), *own, len(kids)))
+            todo += kids
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._walk() == other._walk()
+
+    def __hash__(self):
+        return hash(tuple(self._walk()))
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True, repr=False)
-class Var:
+@dataclass(frozen=True, repr=False, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
-class Neg:
+@dataclass(frozen=True, repr=False, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True, repr=False)
-class BinOp:
+@dataclass(frozen=True, repr=False, eq=False)
+class BinOp(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, repr=False)
-class Call:
+@dataclass(frozen=True, repr=False, eq=False)
+class Call(_Node):
     name: str
     args: tuple
 

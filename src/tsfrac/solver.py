@@ -18,14 +18,15 @@ Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985, with dense products in
 place of FFTs).  Before the steps s .. s+_BLOCK-1 of a block run, their
 right-hand sides are formed as one array: first the u^0 and forcing terms,
 then the part of their sums over the states u^1 .. u^{s-1} of all finished
-blocks, one matrix-matrix product per finished block.  Each step then adds
-its own sum over u^s .. u^{n-1} as one forward matrix-vector product: the
-states in increasing order, a C-contiguous block, against the weights
-reversed.  That product is np.dot, not @: matmul calls BLAS only for
-operands with positive strides, so on the reversed weight view @ runs
-numpy's own loop, 4-5 times slower at n = 128, while np.dot copies the
-weights to a contiguous buffer and calls BLAS gemv.  Only the order of
-summation differs from a step-by-step sum over u^{n-1}, ..., u^1.
+blocks, one matrix-matrix product per finished block.  Inside the block
+the same splitting runs on the dyadic schedule: once step n, the q-th of
+its block, has its state, the L = q & -q states u^{n-L+1} .. u^n are
+pushed into the right-hand sides of the next L steps of the block, one
+matrix-matrix product.  Steps j < n of one block meet in exactly one push
+(the highest bit where j - s and n - s differ picks it), after step j and
+before step n.  A push is np.dot, not @: half of the pushes are 1 x 1
+products, where np.dot's call costs half of matmul's.  Only the order of
+summation differs from a step-by-step sum.
 
 The stepper that l1_stepper builds advances K problems that share alpha,
 the grid, the mesh and A at once; solve is its one-column call.  The K
@@ -186,10 +187,9 @@ def l1_stepper(
     run in blocks of _BLOCK: a block starting at step s first forms, in its
     own rows of the states, the right-hand sides of all its steps from u^0,
     the forcing and the history over u^1 .. u^{s-1}, one matrix-matrix
-    product per finished block of states; each step then adds its sum over
-    u^s .. u^{n-1} (one forward matrix-vector product) and multiplies its
-    K rows by G.  Nonnegative data give exactly nonnegative states in
-    floating point.
+    product per finished block of states; each step then multiplies its K
+    rows by G and pushes its dyadic sub-block of states into the rows of
+    the next steps.  Nonnegative data give exactly nonnegative states.
 
     The returned function raises ValueError for a non-finite u0 or forcing
     sample (before the first step, so after the inversion) and for states
@@ -201,6 +201,8 @@ def l1_stepper(
     G = np.array(A.entries, dtype=float)
     G.flat[:: nx + 1] += b[0]
     _inverse(G)
+    # toeplitz[r, c] = w[r + _BLOCK - 1 - c], zero past w[M-1] so that M < _BLOCK has a view too
+    toeplitz = sliding_window_view(np.concatenate([w, np.zeros(_BLOCK - 1)]), _BLOCK)[:, ::-1]
 
     def l1_states(u0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         K = u0.shape[0]
@@ -220,23 +222,21 @@ def l1_stepper(
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, M + 1, _BLOCK):
                 e = min(s + _BLOCK, M + 1)
-                # Row n of the block first holds the right-hand side of step n
-                # less its sum over u^s .. u^{n-1}: the u^0 and forcing terms,
-                # then the sum over the states u^1 .. u^{s-1} of the finished
-                # blocks.  Against the block u^c .. u^{c+_BLOCK-1} the weights
-                # form a Toeplitz matrix: rows d .. d+e-s-1 of a window view of
-                # w, columns reversed.
+                # Row n of the block first holds the u^0 and forcing terms of
+                # step n, then its sum over the states u^1 .. u^{s-1} of the
+                # finished blocks, one product per block u^c .. u^{c+_BLOCK-1}.
                 rhs = flat[s:e]
                 np.multiply(b[s - 1 : e - 1, None], flat[0], out=rhs)
                 rhs += fflat[s:e]
                 for c in range(1, s, _BLOCK):
-                    d = s - c - _BLOCK
-                    rhs += sliding_window_view(w, _BLOCK)[d : d + e - s, ::-1] @ flat[c : c + _BLOCK]
+                    rhs += toeplitz[s - c - _BLOCK : e - c - _BLOCK] @ flat[c : c + _BLOCK]
                 for n in range(s, e):
-                    if n > s:  # w_{n-s-1}, ..., w_0 against u^s .. u^{n-1}
-                        flat[n] += np.dot(w[n - s - 1 :: -1], flat[s:n])
                     np.matmul(states[n], G, out=step)
                     states[n] = step
+                    q = n - s + 1  # step n is the q-th of its block
+                    L = q & -q
+                    r = min(n + 1 + L, e)  # push u^{n-L+1} .. u^n into rows n+1 .. r-1
+                    flat[n + 1 : r] += np.dot(toeplitz[: r - n - 1, _BLOCK - L :], flat[n + 1 - L : n + 1])
         if not np.isfinite(flat).all():
             k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"states overflow: u^{k} is not finite")

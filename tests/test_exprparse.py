@@ -241,3 +241,10 @@ class TestNestingLimit:
         e = parse("+".join(["x"] * 5000))
         assert evaluate(e, 1.0, 0.0) == 5000.0
         assert repr(e).startswith("<tsfrac.exprparse.BinOp object")  # no recursion
+
+    def test_flat_sum_of_five_thousand_terms_compares_and_hashes(self):
+        src = "+".join(["x"] * 5000)
+        e = parse(src)
+        assert e == parse(src) and hash(e) == hash(parse(src))
+        assert e != parse(src[:-1] + "t") and e != parse(src + "+x")
+        assert len({e, parse(src), parse(src[:-1] + "t")}) == 2

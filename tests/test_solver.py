@@ -227,8 +227,9 @@ def l1_residual(sol, A, k):
 
 
 class TestBlockedHistorySum:
-    """``solve`` sums the history in blocks of 256 steps; only the order of
-    summation differs from the per-step sum, and the first block not at all."""
+    """``solve`` sums the history in blocks of 256 steps, and inside a block
+    by dyadic pushes of finished states; only the order of summation
+    differs from the per-step sum."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
     @pytest.mark.parametrize("M", [255, 256, 257, 300, 512, 513, 1000])
@@ -244,11 +245,24 @@ class TestBlockedHistorySum:
         A = assemble_1d(grid, 0.6)
         got = solve(problem).states
         ref = l1_reference(problem, A)
-        assert np.array_equal(got[:257], ref[:257])
-        if M <= 256:
-            assert np.array_equal(got, ref)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
         assert got.min() >= 0.0
+
+    @pytest.mark.parametrize("K", [1, 7])
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 127, 128, 129, 255, 256, 257, 300, 600])
+    def test_l1_equation_at_every_step(self, M, K):
+        # A pair (j, n) that the push schedule misses or counts twice breaks
+        # the equation at the first step n that needs it.
+        rng = np.random.default_rng(10 * M + K)
+        grid, mesh = SpaceGrid(-1.0, 1.0, 8), TimeMesh(1.0, M)
+        A = assemble_1d(grid, 0.6)
+        u0, F = rng.uniform(0.0, 1.0, (K, 8)), rng.uniform(0.0, 1.0, (M + 1, K, 8))
+        states = l1_stepper(0.4, grid, mesh, A)(u0, F)
+        for k in range(K):
+            sol = Solution(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, Field(grid, u0[k]), ZERO_F),
+                           states[:, k], F[:, k])
+            for n in range(1, M + 1):
+                assert l1_residual(sol, A, n) <= 1e-12, (k, n)
 
     def test_residual_across_block_boundaries(self):
         problem = bump_problem(alpha=0.7, n=24, M=600, f_fn=lambda x, t: (1.0 - x**2) * (1.0 + t))
@@ -350,7 +364,7 @@ class TestManyColumns:
         grid = SpaceGrid(-1.0, 1.0, n)
         return grid, TimeMesh(1.0, M), rng.uniform(0.0, 1.0, (K, n)), rng.uniform(0.0, 1.0, (M + 1, K, n))
 
-    @pytest.mark.parametrize("M", [1, 256, 600])
+    @pytest.mark.parametrize("M", [1, 2, 3, 255, 256, 257, 600])
     @pytest.mark.parametrize("K", [2, 7])
     @pytest.mark.parametrize("n", [1, 16, 128])
     def test_columns_match_one_column_solves(self, n, K, M):
