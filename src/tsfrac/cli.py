@@ -312,14 +312,14 @@ def cmd_verify(config: RunConfig, suite: str, out_override: str | None = None) -
     for s in suites:
         entry: dict = {}
         if s == "nonneg":
-            profile = principles.check_nonnegativity(sol)
+            profile = principles.check_nonnegativity(sol.states, sol.forcing)
             if profile.status == "hypotheses-violated":
                 raise ConfigError(
                     "nonnegativity check demands u0 >= 0 and f >= 0; "
                     "the configured expressions sample negative values"
                 )
         elif s == "boundary":
-            profile = principles.check_parabolic_boundary(sol)
+            profile = principles.check_parabolic_boundary(sol.states, sol.forcing)
             if profile.status == "hypotheses-violated":
                 raise ConfigError(
                     "parabolic-boundary (min) check demands f >= 0; "

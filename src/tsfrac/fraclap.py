@@ -55,6 +55,8 @@ class SpaceGrid:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if self.n < 1:
             raise ValueError(f"need at least one interior node, got n={self.n}")
+        if not 0.0 < self.h * self.h < math.inf:  # assembly divides by h^2
+            raise ValueError(f"need finite a, b and h with 0 < h^2 < inf, got [{self.a}, {self.b}]")
 
     @property
     def h(self) -> float:

@@ -48,8 +48,8 @@ class TimeMesh:
     M: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"time horizon must be positive, got T={self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"time horizon must be positive and finite, got T={self.T}")
         if self.M < 1:
             raise ValueError(f"need at least one time step, got M={self.M}")
 
@@ -140,8 +140,7 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
     mids = (np.arange(M) + 0.5) * tau
     gmass = np.empty(M)
     gmass[0] = g_cell_integral(1.0 - alpha, 0.0, tau)
-    if M > 1:
-        gmass[1:] = tau * g_kernel(1.0 - alpha, mids[1:])
+    gmass[1:] = tau * g_kernel(1.0 - alpha, mids[1:])
     hmid = h_kernel(m, mids)  # h_m((q + 1/2) tau), q = 0..M-1
     # out[n] = sum_{j<n} gmass[j] * h_m(t_n - mid_j) = (gmass * hmid)[n-1]
     out = np.empty(M + 1)

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fraclap import Field, SpaceGrid, assemble_1d
+from .fraclap import SpaceGrid, assemble_1d
 from .kernels import TimeMesh
-from .solver import FracOrders, ProblemSpec, Solution, l1_stepper
+from .solver import l1_stepper
 
 __all__ = [
     "BoundaryClass",
@@ -46,25 +46,26 @@ class BoundaryClass(enum.Enum):
     TERMINAL = "terminal"
 
 
-def classify(grid: SpaceGrid, mesh: TimeMesh, i: int, n: int) -> BoundaryClass:
-    """Tag a space-time index on the extended grid i = 0..n+1, n = 0..M.
+def classify(nx: int, M: int, i: int, n: int) -> BoundaryClass:
+    """Tag a space-time index on the extended grid i = 0..nx+1, n = 0..M.
 
-    i = 0 and i = grid.n + 1 are the boundary/ghost nodes carrying the zero
-    exterior condition; together with the exterior-adjacent interior layer
-    (i = 1, grid.n) they form the lateral class at every time.  The initial
+    nx counts the interior nodes and M the time steps.  i = 0 and
+    i = nx + 1 are the boundary/ghost nodes carrying the zero exterior
+    condition; together with the exterior-adjacent interior layer
+    (i = 1, nx) they form the lateral class at every time.  The initial
     class is the rest of the t = 0 slice, the terminal class the rest of
     the t = T slice; precedence lateral > initial > terminal makes the four
     tags a partition.
     """
-    if not 0 <= i <= grid.n + 1:
-        raise ValueError(f"node index {i} outside 0..{grid.n + 1}")
-    if not 0 <= n <= mesh.M:
-        raise ValueError(f"time index {n} outside 0..{mesh.M}")
-    if i <= 1 or i >= grid.n:
+    if not 0 <= i <= nx + 1:
+        raise ValueError(f"node index {i} outside 0..{nx + 1}")
+    if not 0 <= n <= M:
+        raise ValueError(f"time index {n} outside 0..{M}")
+    if i <= 1 or i >= nx:
         return BoundaryClass.LATERAL
     if n == 0:
         return BoundaryClass.INITIAL
-    if n == mesh.M:
+    if n == M:
         return BoundaryClass.TERMINAL
     return BoundaryClass.INTERIOR
 
@@ -99,12 +100,8 @@ class PrincipleReport:
         }
 
 
-def _data_scale(sol: Solution) -> float:
-    return max(
-        1.0,
-        float(np.max(np.abs(sol.states[0]))),
-        float(np.max(np.abs(sol.forcing))),
-    )
+def _data_scale(states: np.ndarray, forcing: np.ndarray) -> float:
+    return max(1.0, float(np.max(np.abs(states[0]))), float(np.max(np.abs(forcing))))
 
 
 def _hypotheses_report(kind: str, detail: str) -> PrincipleReport:
@@ -136,20 +133,21 @@ def _extended_argmin(states: np.ndarray) -> tuple[float, tuple[int, int]]:
     return 0.0, (0, 0)
 
 
-def check_nonnegativity(sol: Solution) -> PrincipleReport:
+def check_nonnegativity(states: np.ndarray, forcing: np.ndarray) -> PrincipleReport:
     """Nonnegativity check: u0 >= 0 and f >= 0 imply min u >= 0.
 
-    The discrete scheme is monotone and its inverse has no negative entry,
-    so the statement holds exactly in floating point, with no tolerance;
-    any negative state, however small, is a failure.
+    ``states`` (u^0..u^M) and ``forcing`` are (M+1, n) arrays.  The scheme
+    is monotone and its inverse has no negative entry, so the statement
+    holds exactly in floating point, with no tolerance; any negative
+    state, however small, is a failure.
     """
     kind = "nonneg"
-    if np.any(sol.states[0] < 0.0):
+    if np.any(states[0] < 0.0):
         return _hypotheses_report(kind, "u0 takes negative values")
-    if np.any(sol.forcing < 0.0):
+    if np.any(forcing < 0.0):
         return _hypotheses_report(kind, "forcing takes negative values")
-    vmin, loc = _extended_argmin(sol.states)
-    cls = classify(sol.problem.grid, sol.problem.mesh, *loc)
+    vmin, loc = _extended_argmin(states)
+    cls = classify(states.shape[1], states.shape[0] - 1, *loc)
     return PrincipleReport(
         kind=kind,
         status="pass" if vmin >= 0.0 else "fail",
@@ -160,27 +158,28 @@ def check_nonnegativity(sol: Solution) -> PrincipleReport:
     )
 
 
-def check_parabolic_boundary(sol: Solution) -> PrincipleReport:
+def check_parabolic_boundary(states: np.ndarray, forcing: np.ndarray) -> PrincipleReport:
     """Minimum-location check: with f >= 0 the global minimum sits on the parabolic boundary.
 
-    The hypothesis f >= 0 makes the discrete solution a supersolution.  The
-    check is the argmin-membership form: the first attainment of the global
-    minimum over the closed cylinder (ghost columns included) must be
-    classified initial or lateral, never interior or terminal.  The
-    equation is linear, so the maximum statement (f <= 0) is this check
-    applied to the solution for -u0 and -f: a maximum of u is a minimum of -u.
+    The arrays are those of check_nonnegativity.  The hypothesis f >= 0
+    makes the discrete solution a supersolution.  The check is the
+    argmin-membership form: the first attainment of the global minimum
+    over the closed cylinder (ghost columns included) must be classified
+    initial or lateral, never interior or terminal.  The equation is
+    linear, so the maximum statement (f <= 0) is
+    check_parabolic_boundary(-states, -forcing).
     """
     kind = "boundary-min"
-    if np.any(sol.forcing < 0.0):
+    if np.any(forcing < 0.0):
         return _hypotheses_report(kind, "forcing takes negative values")
-    vmin, loc = _extended_argmin(sol.states)
-    cls = classify(sol.problem.grid, sol.problem.mesh, *loc)
+    vmin, loc = _extended_argmin(states)
+    cls = classify(states.shape[1], states.shape[0] - 1, *loc)
     ok = cls in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
     # Degenerate near-ties: an interior attainment within 1e-12 of the data
     # scale of the parabolic-boundary minimum is not a violation.
     if not ok:
-        pb_best = min(float(np.min(sol.states[0])), 0.0)  # initial slice and lateral zeros
-        ok = abs(vmin - pb_best) <= 1e-12 * _data_scale(sol)
+        pb_best = min(float(np.min(states[0])), 0.0)  # initial slice and lateral zeros
+        ok = abs(vmin - pb_best) <= 1e-12 * _data_scale(states, forcing)
     return PrincipleReport(
         kind=kind,
         status="pass" if ok else "fail",
@@ -222,66 +221,55 @@ def _random_bump(rng, grid: SpaceGrid) -> np.ndarray:
     return sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
 
 
-def _random_forcing(rng, grid: SpaceGrid):
-    """Separable random forcing (x, t) -> max(bump(x) * envelope(t), 0).
+def _trial_data(kind: str, seed: int, grid: SpaceGrid, times: np.ndarray):
+    """The initial values and the forcing samples of one trial, drawn from its seed.
 
-    The bump is evaluated once on the grid nodes, which is where the solver
-    samples the forcing; t may be a scalar or a column of times.
+    The draws, in order: the u0 bump (_MODES uniforms), the forcing bump
+    (_MODES uniforms), omega, phase and, for weak-nonneg, the slack.  The
+    forcing is separable, max(bump(x) * cos(omega t + phase), 0), sampled
+    on the grid nodes at ``times``: shape (len(times), n).
     """
-    bump = _random_bump(rng, grid)
-    omega = rng.uniform(0.0, 4.0)
-    phase = rng.uniform(0.0, 2 * np.pi)
-
-    def f(x, t):
-        return np.maximum(bump * np.cos(omega * t + phase), 0.0)
-
-    return f
-
-
-def _trial_data(kind: str, seed: int, grid: SpaceGrid):
-    """The initial values and the forcing closure of one trial, drawn from its seed."""
     rng = np.random.default_rng(seed)
     u0 = _random_bump(rng, grid)
     if kind != "boundary-min":
         u0 = np.maximum(u0, 0.0)
-    f = _random_forcing(rng, grid)
+    bump = _random_bump(rng, grid)
+    omega = rng.uniform(0.0, 4.0)
+    phase = rng.uniform(0.0, 2 * np.pi)
+    forcing = np.maximum(bump * np.cos(omega * times[:, None] + phase), 0.0)
     if kind == "weak-nonneg":
         # Manufacture a supersolution of the slack-free problem by adding a
         # strictly positive forcing slack; the conclusion (nonnegativity)
         # is then checked exactly.
-        slack = float(rng.uniform(0.5, 1.5))
-        f = lambda xs, t, base=f, slack=slack: base(xs, t) + slack
-    return u0, f
+        forcing += float(rng.uniform(0.5, 1.5))
+    return u0, forcing
 
 
 _BATCH_BYTES = 4 * 2**20  # most bytes of states plus forcing samples in one batch
 
 
-def _run_batch(kind: str, orders: FracOrders, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
-    """Solve a batch of one lattice point's trials in one call of its stepper; check each."""
-    x, t = grid.nodes(), mesh.times()[:, None]
+def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
+    """Solve a batch of one lattice point's trials in one call of its stepper; check each.
+
+    Trial k's data are drawn into column k of the u0 and forcing arrays,
+    and it is checked on the columns states[:, k] and forcing[:, k].
+    """
+    times = mesh.times()
     u0 = np.empty((len(seeds), grid.n))
     forcing = np.empty((mesh.M + 1, len(seeds), grid.n))
-    closures = []
     for k, seed in enumerate(seeds):
-        u0[k], f = _trial_data(kind, seed, grid)
-        forcing[:, k] = f(x, t)
-        closures.append(f)
+        u0[k], forcing[:, k] = _trial_data(kind, seed, grid, times)
     states = step(u0, forcing)
     check = check_parabolic_boundary if kind == "boundary-min" else check_nonnegativity
-    reports = []
-    for k, f in enumerate(closures):
-        problem = ProblemSpec(orders, grid, mesh, Field(grid, u0[k]), f)
-        reports.append(check(Solution(problem=problem, states=states[:, k], forcing=forcing[:, k])))
-    return reports
+    return [check(states[:, k], forcing[:, k]) for k in range(len(seeds))]
 
 
 def run_trials(config: TrialConfig) -> PrincipleReport:
     """Run seeded randomized trials over the lattice; aggregate the worst case.
 
-    Trials sweep the lattice round-robin, and each trial draws its data
-    from its own seed.  Each lattice point builds one L1 stepper, so
-    b_0 I + A is inverted once per point, not once per trial or batch.  A
+    Trials sweep the lattice round-robin, and each trial draws its u0 and
+    forcing samples as arrays from its own seed.  Each lattice point builds
+    one L1 stepper, so b_0 I + A is inverted once per point.  A
     point's trials are split into balanced batches whose states and
     forcing samples stay under _BATCH_BYTES, each batch one call of the
     stepper with one right-hand side per trial, and one batch is held at a
@@ -303,10 +291,9 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
             continue
         if beta not in matrices:
             matrices[beta] = assemble_1d(grid, beta)
-        orders = FracOrders(alpha, beta)
         step = l1_stepper(alpha, grid, mesh, matrices[beta])
         for batch in np.array_split(group, -(-len(group) // width)):
-            found = _run_batch(config.kind, orders, grid, mesh, step, [seeds[i] for i in batch])
+            found = _run_batch(config.kind, grid, mesh, step, [seeds[i] for i in batch])
             reports.update(zip(batch.tolist(), found))
 
     worst: PrincipleReport | None = None

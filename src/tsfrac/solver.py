@@ -118,9 +118,9 @@ class FracOrders:
 class ProblemSpec:
     """Data of one initial-exterior-value problem.
 
-    ``forcing(x, t)`` is called once per step with the full node array and
-    the step time and must return the sampled values: an array of shape
-    (n,), or a scalar that holds at every node.
+    forcing_samples is the one place a forcing closure is sampled: it
+    calls ``forcing(x, t)`` once per step with the node array and the step
+    time, and takes an array of shape (n,) or a scalar for every node.
     """
 
     orders: FracOrders

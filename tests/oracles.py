@@ -3,11 +3,12 @@
 Each one computes a quantity by a route the library does not take:
 adaptive quadrature of the fractional Laplacian's definition, the
 positive/negative split of a grid function, the Grunwald-Letnikov
-binomial weights, the randomized trials run one solve per trial, the
-mollified weak residual with one discrete convolution per node, the
-expression language evaluated one scalar (x, t) at a time by a recursive
-tree walk with Python's math module, and the printer whose output parses
-back to the same tree.
+binomial weights, the randomized trials run one solve per trial with
+each trial's forcing a scalar-t closure of its own draws, sampled step
+by step, the mollified weak residual with one discrete convolution per
+node, the expression language evaluated one scalar (x, t) at a time by
+a recursive tree walk with Python's math module, and the printer whose
+output parses back to the same tree.
 """
 
 import math
@@ -18,14 +19,7 @@ from scipy import integrate
 from tsfrac.exprparse import BinOp, Call, Expr, Neg, Num, Var
 
 from tsfrac.fraclap import Field, bilinear_a, normalization_constant
-from tsfrac.principles import (
-    PrincipleReport,
-    TrialConfig,
-    _random_bump,
-    _random_forcing,
-    check_nonnegativity,
-    check_parabolic_boundary,
-)
+from tsfrac.principles import PrincipleReport, TrialConfig, check_nonnegativity, check_parabolic_boundary
 from tsfrac.kernels import TimeSeries, convolve, h_kernel, regularized_kernel
 from tsfrac.solver import FracOrders, ProblemSpec, Solution, solve
 
@@ -83,41 +77,57 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(1.0 - (alpha + 1.0) / j)))
 
 
+def trial_closure(kind: str, seed: int, grid):
+    """The u0 and the scalar-t forcing closure f(x, t) of one randomized trial.
+
+    The draws from ``default_rng(seed)``, in order: 5 uniforms on (-1, 1)
+    for the u0 bump, 5 for the forcing bump, omega on (0, 4), phase on
+    (0, 2 pi) and, for weak-nonneg, a slack on (0.5, 1.5) added to the
+    forcing.  A bump is the sum of c_k sin((k + 1) pi (x - a)/(b - a)) over
+    the nodes; u0 is clipped at 0 except for boundary-min, and the forcing
+    is max(bump(x) cos(omega t + phase), 0).
+    """
+    rng = np.random.default_rng(seed)
+    s = (grid.nodes() - grid.a) / (grid.b - grid.a)
+
+    def bump():
+        coeffs = rng.uniform(-1.0, 1.0, 5)
+        return sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
+
+    u0 = bump()
+    if kind != "boundary-min":
+        u0 = np.maximum(u0, 0.0)
+    fbump = bump()
+    omega = rng.uniform(0.0, 4.0)
+    phase = rng.uniform(0.0, 2 * np.pi)
+    slack = float(rng.uniform(0.5, 1.5)) if kind == "weak-nonneg" else None
+
+    def f(x, t):
+        values = np.maximum(fbump * np.cos(omega * t + phase), 0.0)
+        return values if slack is None else values + slack
+
+    return u0, f
+
+
 def run_trials_reference(config: TrialConfig) -> PrincipleReport:
     """``run_trials`` with one ``solve`` per trial, in trial order.
 
-    Each trial samples its forcing step by step through
-    ``ProblemSpec.forcing_samples``, assembles its own A and inverts its
-    own b_0 I + A.
+    Each trial's data come from ``trial_closure``: its forcing is sampled
+    step by step through ``ProblemSpec.forcing_samples``, and each trial
+    assembles its own A and inverts its own b_0 I + A.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
     lattice = [(float(al), float(be)) for al in config.alphas for be in config.betas]
     grid, mesh = config.grid, config.mesh
+    check = check_parabolic_boundary if config.kind == "boundary-min" else check_nonnegativity
 
     worst: PrincipleReport | None = None
     for idx, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
         alpha, beta = lattice[idx % len(lattice)]
-
-        u0 = _random_bump(rng, grid)
-        if config.kind != "boundary-min":
-            u0 = np.maximum(u0, 0.0)
-        f = _random_forcing(rng, grid)
-        if config.kind == "weak-nonneg":
-            # a supersolution of the slack-free problem: strictly positive
-            # forcing slack; the conclusion (nonnegativity) is checked exactly
-            slack = float(rng.uniform(0.5, 1.5))
-            f = lambda xs, t, base=f, slack=slack: base(xs, t) + slack
-
-        problem = ProblemSpec(FracOrders(alpha, beta), grid, mesh, Field(grid, u0), f)
-        sol = solve(problem)
-
-        if config.kind == "boundary-min":
-            report = check_parabolic_boundary(sol)
-        else:
-            report = check_nonnegativity(sol)
-
+        u0, f = trial_closure(config.kind, seed, grid)
+        sol = solve(ProblemSpec(FracOrders(alpha, beta), grid, mesh, Field(grid, u0), f))
+        report = check(sol.states, sol.forcing)
         if worst is None or report.violation > worst.violation or (
             report.status != "pass" and worst.status == "pass"
         ):

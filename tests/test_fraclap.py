@@ -6,6 +6,7 @@ the adaptive-quadrature oracle before the matrix is held to it.  The frozen
 normalization value is exact: c(1/2) = 1/pi in 1-D.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,12 @@ class TestGridAndField:
             SpaceGrid(1.0, -1.0, 4)
         with pytest.raises(ValueError):
             SpaceGrid(0.0, 1.0, 0)
+        # infinite ends give nan nodes; finite ends 2e308 apart give h = inf;
+        # ends 1e-200 apart give h^2 = 0, which assembly divides by
+        bad = ((-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (-1e308, 1e308), (0.0, 1e-200))
+        for a, b in bad:
+            with pytest.raises(ValueError, match="finite"):
+                SpaceGrid(a, b, 4)
 
     def test_field_shape_checked(self):
         g = SpaceGrid(0.0, 1.0, 4)

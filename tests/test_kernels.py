@@ -352,8 +352,11 @@ class TestDataTypes:
         mesh = TimeMesh(2.0, 4)
         assert mesh.tau == 0.5
         np.testing.assert_allclose(mesh.times(), [0, 0.5, 1.0, 1.5, 2.0])
-        with pytest.raises(ValueError):
-            TimeMesh(-1.0, 4)
+        # a horizon that is not a positive finite number: inf would give
+        # nan and inf times, and solve would return all-zero states
+        for T in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TimeMesh(T, 4)
         np.testing.assert_allclose(TimeMesh(1.0, 1).times(), [0.0, 1.0])
 
 

@@ -24,17 +24,11 @@ from tsfrac.principles import (
     classify,
     run_trials,
 )
-from tsfrac.solver import FracOrders, ProblemSpec, Solution, solve
+from tsfrac.solver import FracOrders, ProblemSpec, solve
 
-from oracles import run_trials_reference
+from oracles import run_trials_reference, trial_closure
 
 ZERO_F = lambda x, t: np.zeros_like(x)
-
-
-def negated(sol):
-    """sol with its states and forcing negated: the scheme is linear, so this
-    is the solution for -u0 and -f."""
-    return Solution(problem=sol.problem, states=-sol.states, forcing=-sol.forcing)
 
 
 def small_problem(u0_vals, f=ZERO_F, alpha=0.5, beta=0.5, n=16, M=12):
@@ -45,51 +39,50 @@ def small_problem(u0_vals, f=ZERO_F, alpha=0.5, beta=0.5, n=16, M=12):
 
 class TestClassify:
     def setup_method(self):
-        self.grid = SpaceGrid(-1.0, 1.0, 8)
-        self.mesh = TimeMesh(1.0, 6)
+        self.nx, self.M = 8, 6
 
     def test_initial_slice(self):
-        assert classify(self.grid, self.mesh, 4, 0) is BoundaryClass.INITIAL
+        assert classify(self.nx, self.M, 4, 0) is BoundaryClass.INITIAL
 
     def test_edge_adjacent_at_final_time_is_lateral(self):
-        assert classify(self.grid, self.mesh, 1, 6) is BoundaryClass.LATERAL
-        assert classify(self.grid, self.mesh, 8, 6) is BoundaryClass.LATERAL
+        assert classify(self.nx, self.M, 1, 6) is BoundaryClass.LATERAL
+        assert classify(self.nx, self.M, 8, 6) is BoundaryClass.LATERAL
 
     def test_ghost_nodes_are_lateral(self):
         for n in (0, 3, 6):
-            assert classify(self.grid, self.mesh, 0, n) is BoundaryClass.LATERAL
-            assert classify(self.grid, self.mesh, 9, n) is BoundaryClass.LATERAL
+            assert classify(self.nx, self.M, 0, n) is BoundaryClass.LATERAL
+            assert classify(self.nx, self.M, 9, n) is BoundaryClass.LATERAL
 
     def test_center_at_final_time_is_terminal(self):
-        assert classify(self.grid, self.mesh, 4, 6) is BoundaryClass.TERMINAL
+        assert classify(self.nx, self.M, 4, 6) is BoundaryClass.TERMINAL
 
     def test_bulk_is_interior(self):
-        assert classify(self.grid, self.mesh, 4, 3) is BoundaryClass.INTERIOR
+        assert classify(self.nx, self.M, 4, 3) is BoundaryClass.INTERIOR
 
     def test_exhaustive_partition(self):
         counts = {cls: 0 for cls in BoundaryClass}
-        for i in range(self.grid.n + 2):
-            for n in range(self.mesh.M + 1):
-                cls = classify(self.grid, self.mesh, i, n)
+        for i in range(self.nx + 2):
+            for n in range(self.M + 1):
+                cls = classify(self.nx, self.M, i, n)
                 counts[cls] += 1
                 parabolic = cls in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
                 if cls is BoundaryClass.TERMINAL:
                     assert not parabolic
-        total = (self.grid.n + 2) * (self.mesh.M + 1)
+        total = (self.nx + 2) * (self.M + 1)
         assert sum(counts.values()) == total
         assert all(c > 0 for c in counts.values())
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            classify(self.grid, self.mesh, 10, 0)
+            classify(self.nx, self.M, 10, 0)
         with pytest.raises(ValueError):
-            classify(self.grid, self.mesh, 0, 7)
+            classify(self.nx, self.M, 0, 7)
 
 
 class TestNonnegativity:
     def test_zero_data_exact_zero(self):
         sol = solve(small_problem(np.zeros(16)))
-        report = check_nonnegativity(sol)
+        report = check_nonnegativity(sol.states, sol.forcing)
         assert report.status == "pass"
         assert report.extremal_value == 0.0
         assert report.violation == 0.0
@@ -98,7 +91,7 @@ class TestNonnegativity:
         x = SpaceGrid(-1.0, 1.0, 16).nodes()
         u0 = np.maximum(0.0, 1.0 - 4.0 * x**2)
         sol = solve(small_problem(u0))
-        report = check_nonnegativity(sol)
+        report = check_nonnegativity(sol.states, sol.forcing)
         assert report.status == "pass"
         assert report.violation == 0.0
 
@@ -108,7 +101,7 @@ class TestNonnegativity:
         sol = solve(small_problem(np.ones(16)))
         states = sol.states.copy()
         states[5, 7] = -1e-300
-        report = check_nonnegativity(Solution(problem=sol.problem, states=states, forcing=sol.forcing))
+        report = check_nonnegativity(states, sol.forcing)
         assert report.status == "fail"
         assert report.violation == 1e-300
         assert report.location == (8, 5)
@@ -118,13 +111,13 @@ class TestNonnegativity:
         u0 = np.maximum(0.0, 1.0 - 4.0 * x**2)
         f = lambda xx, t: np.full_like(xx, -10.0 if t < 0.2 else 0.0)
         sol = solve(small_problem(u0, f=f))
-        report = check_nonnegativity(sol)
+        report = check_nonnegativity(sol.states, sol.forcing)
         assert report.status == "hypotheses-violated"
         assert "negative" in report.detail
 
     def test_mixed_sign_u0_also_not_applicable(self):
         sol = solve(small_problem(np.linspace(-1, 1, 16)))
-        assert check_nonnegativity(sol).status == "hypotheses-violated"
+        assert check_nonnegativity(sol.states, sol.forcing).status == "hypotheses-violated"
 
 
 class TestParabolicBoundary:
@@ -133,7 +126,7 @@ class TestParabolicBoundary:
         u0 = np.maximum(0.0, 1.0 - 4.0 * x**2)
         f = lambda xx, t: 0.3 * (1.0 + np.cos(np.pi * xx))
         sol = solve(small_problem(u0, f=f))
-        report = check_parabolic_boundary(sol)
+        report = check_parabolic_boundary(sol.states, sol.forcing)
         assert report.status == "pass"
         assert report.extremal_value == pytest.approx(0.0, abs=1e-14)
         assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
@@ -145,7 +138,7 @@ class TestParabolicBoundary:
         u0 = -np.maximum(0.0, 1.0 - 4.0 * x**2)
         f = lambda xx, t: -0.3 * (1.0 + np.cos(np.pi * xx))
         sol = solve(small_problem(u0, f=f))
-        report = check_parabolic_boundary(negated(sol))
+        report = check_parabolic_boundary(-sol.states, -sol.forcing)
         assert report.status == "pass"
         assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
         assert -report.extremal_value == pytest.approx(0.0, abs=1e-14)
@@ -163,14 +156,14 @@ class TestParabolicBoundary:
                 di * (1.0 + np.sin((k + 1) * np.pi * (xx + 1) / 2) ** 2) for k, di in enumerate(d)
             )
             sol = solve(small_problem(u0, f=f, n=24, M=16))
-            report = check_parabolic_boundary(sol)
+            report = check_parabolic_boundary(sol.states, sol.forcing)
             assert report.status == "pass"
             assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
 
     def test_wrong_sign_hypothesis_flagged(self):
         sol = solve(small_problem(np.zeros(16), f=lambda x, t: -np.ones_like(x)))
-        assert check_parabolic_boundary(sol).status == "hypotheses-violated"
-        assert check_parabolic_boundary(negated(sol)).status == "pass"
+        assert check_parabolic_boundary(sol.states, sol.forcing).status == "hypotheses-violated"
+        assert check_parabolic_boundary(-sol.states, -sol.forcing).status == "pass"
 
 
 class TestRunTrials:
@@ -284,8 +277,8 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("kind", KINDS)
     def test_forcing_columns_are_the_step_samples(self, kind, monkeypatch):
         # Batches run point by point, each point's trials in trial order;
-        # each forcing column is one call of the trial's closure on the
-        # column of mesh times, and must equal the step-by-step samples.
+        # each forcing column is drawn as one array and must equal the
+        # step-by-step samples of the oracle's closure for that trial.
         calls = record_batches(monkeypatch)
         config = TrialConfig(kind=kind, trials=10, seed=3, alphas=(0.3, 0.7), betas=(0.5,),
                              grid=SpaceGrid(-1.0, 1.0, 32), mesh=TimeMesh(1.0, 256))
@@ -296,7 +289,7 @@ class TestBatchedTrials:
         assert len(columns) == len(order)
         grid = config.grid
         for i, (u0, forcing) in zip(order, columns):
-            u0_ref, f = principles._trial_data(kind, int(seeds[i]), grid)
+            u0_ref, f = trial_closure(kind, int(seeds[i]), grid)
             problem = ProblemSpec(FracOrders(0.3, 0.5), grid, config.mesh, Field(grid, u0_ref), f)
             assert np.array_equal(u0, u0_ref)
             assert np.array_equal(forcing, problem.forcing_samples())

@@ -278,7 +278,7 @@ class TestBlockedHistorySum:
         problem = bump_problem(n=32, M=8192, u0_fn=lambda x: np.maximum(0.0, 1.0 - 16.0 * x**2))
         A = assemble_1d(problem.grid, problem.orders.beta)
         sol = solve(problem)
-        assert check_nonnegativity(sol).violation == 0.0
+        assert check_nonnegativity(sol.states, sol.forcing).violation == 0.0
         assert sol.states.min() >= 0.0
         assert l1_residual(sol, A, 8192) <= 1e-12
 
