@@ -35,12 +35,12 @@ _TYPES = {
 }
 _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256"}
 # Most bytes a config's solve may be estimated to need, checked before
-# anything is allocated: three n x n matrices (dense A and the buffer that
-# holds b_0 I + A and then its inverse, with room to spare), plus the
-# states and the sampled forcing ((M+1) x n each).  verify's trials run in
-# batches whose states and forcing stay under 4 MiB, or one trial at a time,
-# and keep one report and one seed per trial (888 bytes each, measured at
-# n = M = 1), estimated at 1 KiB per trial.
+# anything is allocated: two n x n matrices (the one buffer that holds A,
+# then b_0 I + A, then its inverse, and its quarter-matrix scratch, with
+# room to spare), plus the states and the sampled forcing ((M+1) x n each).
+# verify's trials run in batches whose states and forcing stay under 4 MiB,
+# or one trial at a time, and keep one report and one seed per trial (888
+# bytes each, measured at n = M = 1), estimated at 1 KiB per trial.
 _MEMORY_BUDGET = 2 * 2**30
 _TRIAL_BYTES = 2**10
 _MAX_INT = int(sys.float_info.max)  # largest m that is still a finite float
@@ -140,7 +140,7 @@ def load_config(path: str | Path) -> RunConfig:
     sized = have("n", "M") and vals["n"] >= 1 and vals["M"] >= 1
     if sized:
         n, M = vals["n"], vals["M"]
-        matrices, arrays = 3 * 8 * n * n, 2 * 8 * (M + 1) * n
+        matrices, arrays = 2 * 8 * n * n, 2 * 8 * (M + 1) * n
         if matrices + arrays > _MEMORY_BUDGET:
             sized = False
             key = "n" if matrices >= arrays else "M"
@@ -398,14 +398,15 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
 
     rows += _study("getoor", (128, 256, 512), getoor_error)
 
-    # Scalar relaxation vs the Mittag-Leffler oracle: the L1 stepper with
-    # the 1 x 1 operator [1], u0 = 1 and zero forcing.
-    exactml = kernels.mittag_leffler(alpha, -1.0)
+    # Scalar relaxation vs the Mittag-Leffler oracle: the L1 stepper on the
+    # one-node grid, whose operator is the 1 x 1 matrix [lam], with u0 = 1
+    # and zero forcing; its exact value at t = 1 is E_alpha(-lam).
     grid1 = fraclap.SpaceGrid(-1.0, 1.0, 1)
-    lam = fraclap.FracLapMatrix(beta=beta, grid=grid1, entries=np.array([[1.0]]))
+    lam = float(fraclap.assemble_1d(grid1, beta).entries[0, 0])
+    exactml = kernels.mittag_leffler(alpha, -lam)
 
     def relaxation_error(M):
-        step = solver.l1_stepper(alpha, grid1, kernels.TimeMesh(1.0, M), lam)
+        step = solver.l1_stepper(alpha, beta, grid1, kernels.TimeMesh(1.0, M))
         states = step(np.ones((1, 1)), np.zeros((M + 1, 1, 1)))
         return abs(float(states[-1, 0, 0]) - exactml) / abs(exactml)
 

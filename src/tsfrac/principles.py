@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fraclap import SpaceGrid, assemble_1d
+from .fraclap import SpaceGrid
 from .kernels import TimeMesh
 from .solver import l1_stepper
 
@@ -269,13 +269,12 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
 
     Trials sweep the lattice round-robin, and each trial draws its u0 and
     forcing samples as arrays from its own seed.  Each lattice point builds
-    one L1 stepper, so b_0 I + A is inverted once per point.  A
-    point's trials are split into balanced batches whose states and
-    forcing samples stay under _BATCH_BYTES, each batch one call of the
+    one L1 stepper, so A is assembled and b_0 I + A inverted once per
+    point.  A point's trials are split into balanced batches whose states
+    and forcing samples stay under _BATCH_BYTES, each batch one call of the
     stepper with one right-hand side per trial, and one batch is held at a
-    time.  Matrices are assembled once per beta.  The worst report is
-    picked in trial order.  Deterministic: the same config yields the
-    identical report.
+    time.  The worst report is picked in trial order.  Deterministic: the
+    same config yields the identical report.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
@@ -283,15 +282,12 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     grid, mesh = config.grid, config.mesh
     width = max(1, _BATCH_BYTES // (16 * (mesh.M + 1) * grid.n))
 
-    matrices = {}
     reports = {}  # trial index -> report
     for p, (alpha, beta) in enumerate(lattice):
         group = np.arange(p, config.trials, len(lattice))
         if len(group) == 0:
             continue
-        if beta not in matrices:
-            matrices[beta] = assemble_1d(grid, beta)
-        step = l1_stepper(alpha, grid, mesh, matrices[beta])
+        step = l1_stepper(alpha, beta, grid, mesh)
         for batch in np.array_split(group, -(-len(group) // width)):
             found = _run_batch(config.kind, grid, mesh, step, [seeds[i] for i in batch])
             reports.update(zip(batch.tolist(), found))

@@ -29,7 +29,7 @@ products, where np.dot's call costs half of matmul's.  Only the order of
 summation differs from a step-by-step sum.
 
 The stepper that l1_stepper builds advances K problems that share alpha,
-the grid, the mesh and A at once; solve is its one-column call.  The K
+beta, the grid and the mesh at once; solve is its one-column call.  The K
 right-hand sides of a step form one C-contiguous row of K n values, so
 the history sums above are the same products on K times wider operands,
 and column k is the one-column result up to the summation order BLAS
@@ -37,7 +37,8 @@ picks for the wider operands.
 
 Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor:
 one general matrix-matrix product of the K rows with G, for every K.
-l1_stepper forms G once, and every call of its stepper reuses it.
+l1_stepper forms G once, in the one n x n buffer that holds A, then
+b_0 I + A, then G, and every call of its stepper reuses it.
 
 G is the inverse of an M-matrix and so entrywise nonnegative (Berman &
 Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM 1994,
@@ -84,7 +85,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d, bilinear_a
+from .fraclap import Field, SpaceGrid, assemble_1d, bilinear_a
 from .kernels import TimeMesh, check_order, h_kernel, regularized_kernel
 from .timefrac import l1_weights
 
@@ -159,46 +160,54 @@ class Solution:
 
 
 def solve(problem: ProblemSpec) -> Solution:
-    """Assemble the problem's operator, sample the forcing and run all M L1-implicit steps.
+    """Sample the problem's forcing and run all M L1-implicit steps.
 
-    A one-column call of the stepper that l1_stepper builds; deterministic
-    for fixed inputs.  A caller with another operator calls l1_stepper
-    itself.  Raises ValueError for a non-finite u0 or forcing sample
-    (checked after the inversion, before the first step) and for states
-    that overflow.
+    A one-column call of the stepper that l1_stepper builds at the
+    problem's orders, grid and mesh; deterministic for fixed inputs.
+    Raises ValueError for L1 weights that break the positivity premise
+    (l1_stepper), for a non-finite u0 or forcing sample (checked after the
+    inversion, before the first step) and for states that overflow.
     """
-    A = assemble_1d(problem.grid, problem.orders.beta)
     fsamp = problem.forcing_samples()
-    step = l1_stepper(problem.orders.alpha, problem.grid, problem.mesh, A)
+    step = l1_stepper(problem.orders.alpha, problem.orders.beta, problem.grid, problem.mesh)
     states = step(problem.u0.values[None], fsamp[:, None])
     return Solution(problem=problem, states=states[:, 0], forcing=fsamp)
 
 
 def l1_stepper(
-    alpha: float, grid: SpaceGrid, mesh: TimeMesh, A: FracLapMatrix
+    alpha: float, beta: float, grid: SpaceGrid, mesh: TimeMesh
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The L1 stepper of every problem with these alpha, grid, mesh and A.
+    """The L1 stepper of every problem with these alpha, beta, grid and mesh.
 
-    A must be assembled on ``grid``.  The weights, their differences and
-    G = (b_0 I + A)^{-1} are computed here, once; b_0 I + A is built and
-    inverted in one n x n buffer.  The returned function takes ``u0`` of
-    shape (K, n) and the forcing samples of shape (M+1, K, n), for any K,
-    and returns the states of the K problems, shape (M+1, K, n).  Its steps
-    run in blocks of _BLOCK: a block starting at step s first forms, in its
-    own rows of the states, the right-hand sides of all its steps from u^0,
-    the forcing and the history over u^1 .. u^{s-1}, one matrix-matrix
-    product per finished block of states; each step then multiplies its K
-    rows by G and pushes its dyadic sub-block of states into the rows of
-    the next steps.  Nonnegative data give exactly nonnegative states.
+    The weights, their differences and G = (b_0 I + A)^{-1} are computed
+    here, once: A = assemble_1d(grid, beta) gets b_0 added to its diagonal
+    and is inverted in place, so b_0 I + A and G share one n x n buffer.
+    The returned function takes ``u0`` of shape (K, n) and the forcing
+    samples of shape (M+1, K, n), for any K, and returns the states of the
+    K problems, shape (M+1, K, n).  Its steps run in blocks of _BLOCK: a
+    block starting at step s first forms, in its own rows of the states,
+    the right-hand sides of all its steps from u^0, the forcing and the
+    history over u^1 .. u^{s-1}, one matrix-matrix product per finished
+    block of states; each step then multiplies its K rows by G and pushes
+    its dyadic sub-block of states into the rows of the next steps.
+    Nonnegative data give exactly nonnegative states.
 
+    That rests on b_0 > 0, b_{j-1} - b_j >= 0 (j = 1..M) and b_M >= 0,
+    which rounding can break at alpha near 0 or 1 with many steps:
+    l1_stepper then raises ValueError naming alpha, M and the first bad j.
     The returned function raises ValueError for a non-finite u0 or forcing
     sample (before the first step, so after the inversion) and for states
     that overflow.
     """
     M, nx = mesh.M, grid.n
     b = l1_weights(alpha, mesh.tau, M)
-    w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j > 0, j = 1..M
-    G = np.array(A.entries, dtype=float)
+    w = b[:-1] - b[1:]  # w[j-1] = b_{j-1} - b_j, j = 1..M
+    premise = np.concatenate(([b[0] > 0.0], w >= 0.0, [b[M] >= 0.0]))  # entry j: premise at j, b_M's at M
+    if not premise.all():
+        j = min(int(np.argmin(premise)), M)
+        raise ValueError(f"L1 weights at alpha={alpha!r}, M={M} break b_0 > 0, b_(j-1) >= b_j, "
+                         f"b_M >= 0 first at j={j}")
+    G = assemble_1d(grid, beta).entries
     G.flat[:: nx + 1] += b[0]
     _inverse(G)
     # toeplitz[r, c] = w[r + _BLOCK - 1 - c], zero past w[M-1] so that M < _BLOCK has a view too

@@ -188,7 +188,7 @@ class TestKernelTableCommand:
 
 class TestConvergenceCommand:
     def test_tiny_alpha_exit_zero(self, tmp_path):
-        # E_alpha(-1) at alpha = 0.001 needs 17,600 series terms
+        # E_alpha(-lam), lam = 1.396 > 1, by the spectral rule at alpha = 0.001
         cfg = write_config(tmp_path, {"alpha": 0.001})
         out = tmp_path / "c"
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
@@ -203,8 +203,8 @@ class TestConvergenceCommand:
         assert (out / "convergence.csv").exists()
 
     def test_mittag_leffler_rows_are_first_order(self, tmp_path):
-        # The L1 stepper on the scalar relaxation against E_alpha(-1) at
-        # alpha = 0.5: errors 6.4e-4 down to 7.9e-5, orders 1.005-1.011.
+        # The L1 stepper on the one-node grid against E_alpha(-lam) at
+        # alpha = beta = 0.5: errors 7.5e-4 down to 9.2e-5, orders 1.006-1.012.
         cfg = write_config(tmp_path)
         out = tmp_path / "c"
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
@@ -270,6 +270,16 @@ class TestExitCodes:
             assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert caught == []
         assert capsys.readouterr().err == "internal numeric error: states overflow: u^2 is not finite\n"
+
+    def test_weights_losing_their_sign_exit_three(self, tmp_path, capsys):
+        # At alpha = 1e-9 and M = 4096, 42 rounded differences b_{j-1} - b_j
+        # are negative, so exact positivity has lost its premise: a numeric
+        # error, not a theorem failure (exit 1, violation 1.1e-13).
+        cfg = write_config(tmp_path, {"n": 32, "M": 4096, "alpha": 1e-9, "u0": "0", "f": "max(0, 2 - 4096*t)"})
+        assert main(["verify", "--config", str(cfg), "--suite", "nonneg", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("internal numeric error: L1 weights at alpha=1e-09, M=4096 "), err
 
     def test_memory_preflight_exit_two(self, tmp_path, monkeypatch, capsys):
         # Decided from the estimate alone: nothing of the size is allocated.

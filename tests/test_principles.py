@@ -248,8 +248,8 @@ def record_batches(monkeypatch):
     calls = []
     original = principles.l1_stepper
 
-    def recording_stepper(alpha, grid, mesh, A):
-        step = original(alpha, grid, mesh, A)
+    def recording_stepper(alpha, beta, grid, mesh):
+        step = original(alpha, beta, grid, mesh)
 
         def recorder(u0, forcing):
             calls.append((u0.copy(), forcing.copy()))

@@ -1,12 +1,13 @@
 """Time-stepper tests.
 
-The scalar-relaxation oracle: the L1 stepper with the 1x1 operator
-[lambda] and zero forcing, whose exact solution is
-u0 * E_alpha(-lambda t^alpha), evaluated by the independent
+The scalar-relaxation oracle: the L1 stepper on the one-node grid, whose
+operator is the 1x1 matrix [lambda], with zero forcing; its exact solution
+is u0 * E_alpha(-lambda t^alpha), evaluated by the independent
 Mittag-Leffler routine.  Positivity and comparison are exact discrete
 properties of the L1 + M-matrix scheme and are tested at roundoff scale.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from scipy import linalg
 from scipy.linalg import lapack
 
-from tsfrac.fraclap import Field, FracLapMatrix, SpaceGrid, assemble_1d
+from tsfrac.fraclap import Field, SpaceGrid, assemble_1d
 from tsfrac.kernels import TimeMesh, mittag_leffler
 from tsfrac.principles import check_nonnegativity
 from tsfrac.solver import (
@@ -34,13 +35,13 @@ from tsfrac.timefrac import l1_weights
 from oracles import gl_weights, weak_residual_reference
 
 ZERO_F = lambda x, t: np.zeros_like(x)
+ONE_NODE = SpaceGrid(-1.0, 1.0, 1)
+LAM = float(assemble_1d(ONE_NODE, 0.5).entries[0, 0])  # the one-node operator [lambda] at beta = 0.5
 
 
 def scalar_relaxation(alpha, M):
-    """u^0 .. u^M of the L1 stepper with the 1x1 operator [1], u0 = 1 and f = 0 on [0, 1]."""
-    grid = SpaceGrid(-1.0, 1.0, 1)
-    lam = FracLapMatrix(beta=0.5, grid=grid, entries=np.array([[1.0]]))
-    return l1_stepper(alpha, grid, TimeMesh(1.0, M), lam)(np.ones((1, 1)), np.zeros((M + 1, 1, 1)))[:, 0, 0]
+    """u^0 .. u^M of the L1 stepper on the one-node grid at beta = 0.5, u0 = 1 and f = 0 on [0, 1]."""
+    return l1_stepper(alpha, 0.5, ONE_NODE, TimeMesh(1.0, M))(np.ones((1, 1)), np.zeros((M + 1, 1, 1)))[:, 0, 0]
 
 
 def bump_problem(alpha=0.5, beta=0.5, n=32, M=48, u0_fn=None, f_fn=None):
@@ -73,12 +74,12 @@ class TestStepAndSolve:
 
     def test_scalar_relaxation_vs_mittag_leffler(self):
         u = scalar_relaxation(0.5, 2048)
-        exact = mittag_leffler(0.5, -1.0)
+        exact = mittag_leffler(0.5, -LAM)
         assert abs(u[-1] - exact) / exact < 1e-2
 
     def test_gl_cross_check_on_scalar(self):
-        # Grunwald-Letnikov oracle for the scalar relaxation with lambda = 1:
-        # tau^-alpha sum_{j=0}^{n} w_j (u^{n-j} - u^0) + u^n = 0
+        # Grunwald-Letnikov oracle for the scalar relaxation:
+        # tau^-alpha sum_{j=0}^{n} w_j (u^{n-j} - u^0) + lambda u^n = 0
         alpha, M = 0.5, 2048
         w = gl_weights(alpha, M)
         scale = (1.0 / M) ** (-alpha)
@@ -86,8 +87,8 @@ class TestStepAndSolve:
         u[0] = 1.0
         for n in range(1, M + 1):
             hist = w[1 : n + 1] @ (u[n - 1 :: -1] - u[0])  # u^{n-1}, ..., u^0
-            u[n] = scale * (u[0] - hist) / (scale + 1.0)
-        assert u[-1] == pytest.approx(mittag_leffler(alpha, -1.0), rel=1e-2)
+            u[n] = scale * (u[0] - hist) / (scale + LAM)
+        assert u[-1] == pytest.approx(mittag_leffler(alpha, -LAM), rel=1e-2)
         assert u[-1] == pytest.approx(scalar_relaxation(alpha, M)[-1], rel=1e-2)
 
     def test_exact_positivity(self):
@@ -257,7 +258,7 @@ class TestBlockedHistorySum:
         grid, mesh = SpaceGrid(-1.0, 1.0, 8), TimeMesh(1.0, M)
         A = assemble_1d(grid, 0.6)
         u0, F = rng.uniform(0.0, 1.0, (K, 8)), rng.uniform(0.0, 1.0, (M + 1, K, 8))
-        states = l1_stepper(0.4, grid, mesh, A)(u0, F)
+        states = l1_stepper(0.4, 0.6, grid, mesh)(u0, F)
         for k in range(K):
             sol = Solution(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, Field(grid, u0[k]), ZERO_F),
                            states[:, k], F[:, k])
@@ -351,6 +352,36 @@ class TestInverseStep:
             tracemalloc.stop()
         assert peak <= 0.3 * 8 * n * n, peak / (8 * n * n)
 
+    def test_solve_holds_one_matrix(self):
+        # The stepper adds b_0 to the diagonal of the A it assembles and
+        # inverts that buffer: one n x n matrix plus the inversion's
+        # quarter-matrix scratch, and no copy of A.
+        n = 1024
+        problem = bump_problem(n=n, M=8)
+        tracemalloc.start()
+        try:
+            solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("M", [1, 256, 4096, 65536])
+@pytest.mark.parametrize("alpha", [1e-12, 1e-9, 0.05, 0.5, 0.99, 1 - 1e-9, 1 - 1e-12])
+def test_weight_premise_holds_or_stepper_raises(alpha, M):
+    # Exact positivity rests on b_0 > 0, b_{j-1} >= b_j (j = 1..M) and
+    # b_M >= 0, which the rounded weights can break at alpha near 0 or 1.
+    b = l1_weights(alpha, 1.0 / M, M)
+    bad = ([] if b[0] > 0.0 else [0]) + [j for j in range(1, M + 1) if not b[j - 1] >= b[j]]
+    bad += [] if b[M] >= 0.0 else [M]
+    mesh = TimeMesh(1.0, M)
+    if not bad:
+        l1_stepper(alpha, 0.5, ONE_NODE, mesh)
+        return
+    with pytest.raises(ValueError, match=rf"alpha={re.escape(repr(alpha))}, M={M} .* first at j={bad[0]}$"):
+        l1_stepper(alpha, 0.5, ONE_NODE, mesh)
+
 
 class TestManyColumns:
     """The stepper that ``l1_stepper`` builds steps K problems at once: each
@@ -369,8 +400,7 @@ class TestManyColumns:
     @pytest.mark.parametrize("n", [1, 16, 128])
     def test_columns_match_one_column_solves(self, n, K, M):
         grid, mesh, u0, F = self.data(n, K, M, seed=1000 * n + 10 * K + M)
-        A = assemble_1d(grid, 0.6)
-        step = l1_stepper(0.4, grid, mesh, A)
+        step = l1_stepper(0.4, 0.6, grid, mesh)
         got = step(u0, F)
         assert got.shape == (M + 1, K, n)
         for k in range(K):
@@ -380,16 +410,14 @@ class TestManyColumns:
 
     def test_one_column_is_solve(self):
         problem = random_problem(16, 300, 0.7, 0.6, seed=3)
-        A = assemble_1d(problem.grid, 0.6)
-        got = l1_stepper(0.7, problem.grid, problem.mesh, A)(problem.u0.values[None],
-                                                             problem.forcing_samples()[:, None])
+        got = l1_stepper(0.7, 0.6, problem.grid, problem.mesh)(problem.u0.values[None],
+                                                               problem.forcing_samples()[:, None])
         assert np.array_equal(got[:, 0], solve(problem).states)
 
     def test_non_finite_data_in_a_later_column(self):
         grid, mesh, u0, F = self.data(16, 3, 8, seed=5)
-        A = assemble_1d(grid, 0.6)
         x = grid.nodes()
-        step = l1_stepper(0.5, grid, mesh, A)
+        step = l1_stepper(0.5, 0.6, grid, mesh)
         bad = u0.copy()
         bad[2, 3] = np.nan
         with pytest.raises(ValueError) as info:
