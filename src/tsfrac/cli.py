@@ -356,7 +356,9 @@ def _study(name: str, resolutions, error) -> list:
     The order is log2 of the previous error over this one; nan at the first level and after a zero.
     """
     errs = [error(r) for r in resolutions]
-    orders = [math.nan] + [float(np.log2(e0 / e1)) if e1 > 0 else math.nan for e0, e1 in zip(errs, errs[1:])]
+    orders = [math.nan] + [
+        float(np.log2(e0 / e1)) if e0 > 0 and e1 > 0 else math.nan for e0, e1 in zip(errs, errs[1:])
+    ]
     return [(name, r, e, o) for r, e, o in zip(resolutions, errs, orders)]
 
 
@@ -366,7 +368,14 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _check_complement(command: str, alpha: float) -> None:
+    """The kernels take the order 1 - alpha, which must stay below 1."""
+    if 1.0 - alpha == 1.0:
+        raise ConfigError(f"{command}: key 'alpha': 1 - alpha rounds to 1.0 at alpha={alpha!r}")
+
+
 def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
+    _check_complement("convergence", config.alpha)
     out = _outdir(config, out_override)
     alpha, beta = config.alpha, config.beta
     rows = [("study", "resolution", "error", "observed_order")]
@@ -442,9 +451,7 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
 
 def cmd_kernel_table(config: RunConfig, out_override: str | None = None) -> int:
     alpha = config.alpha
-    # The kernels take the order 1 - alpha, which must stay below 1.
-    if 1.0 - alpha == 1.0:
-        raise ConfigError(f"kernel-table: key 'alpha': 1 - alpha rounds to 1.0 at alpha={alpha!r}")
+    _check_complement("kernel-table", alpha)
     out = _outdir(config, out_override)
     mesh = config.mesh()
     times = mesh.times()

@@ -12,9 +12,14 @@ Precedence: ^  >  unary -  >  * /  >  + -.  Known names: sin, cos, exp,
 abs, sqrt (unary) and max, min (binary); the only variables are x and t.
 NUMBER is ASCII digits only.  Parsing is total: any string either parses
 or raises ParseError with the character offset and the expected-token
-set; that includes nesting deeper than MAX_DEPTH.  ``evaluate`` works
-elementwise on numpy arrays, so the CLI samples an expression on the
-whole node array once per time step.
+set; that includes nesting deeper than MAX_DEPTH.
+
+``parse`` compiles a string into a postfix program: a tuple whose items
+are number literals (floats), "x", "t", the operators + - * / ^, "neg"
+for unary minus and the function names, each after its operands, so
+"1 - x^2" is (1.0, "x", 2.0, "^", "-").  ``evaluate`` runs the program
+on a value stack, elementwise on numpy arrays, so the CLI samples an
+expression on the whole node array once per time step.
 It follows IEEE float conventions (division by zero and domain
 violations yield inf/nan, which propagate; rejecting them is the config
 loader's job), except that x^k for integer |k| <= 64 is repeated
@@ -24,18 +29,11 @@ exp and log, which may differ from the C library's in the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ParseError",
     "Expr",
-    "Num",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
     "parse",
     "evaluate",
     "FUNCTIONS",
@@ -57,75 +55,14 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {offset}{hint}")
 
 
-class _Node:
-    """Structural == and hash over one walk of the tree with an explicit stack.
-
-    The generated ones (and repr) recurse, and a 5,000-term sum is 5,000
-    nodes deep.  The walk lists each node's type, own field values and
-    number of children, which fixes the tree.
-    """
-
-    def _walk(self) -> list:
-        out, todo = [], [self]
-        while todo:
-            node = todo.pop()
-            own, kids = [], []
-            for v in vars(node).values():  # the fields, in order
-                if isinstance(v, _Node):
-                    kids.append(v)
-                elif isinstance(v, tuple):  # Call.args
-                    kids += v
-                else:
-                    own.append(v)
-            out.append((type(node), *own, len(kids)))
-            todo += kids
-        return out
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._walk() == other._walk()
-
-    def __hash__(self):
-        return hash(tuple(self._walk()))
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class Num(_Node):
-    value: float
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class Var(_Node):
-    name: str
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class Neg(_Node):
-    arg: "Expr"
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class BinOp(_Node):
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class Call(_Node):
-    name: str
-    args: tuple
-
-
-Expr = Num | Var | Neg | BinOp | Call
+Expr = tuple  # a postfix program; see the module docstring
 
 
 _OPS = "+-*/^(),"
 
 
-def _tokenize(src: str):
-    """Yield (kind, text, offset) triples; kinds: num, name, op, end."""
+def _tokenize(src: str) -> list:
+    """The (kind, text, offset) triples of src; kinds: num, name, op, end."""
     tokens = []
     i = 0
     n = len(src)
@@ -170,11 +107,13 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent; each method appends its part's instructions to out, operands first."""
+
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
+        self.out = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -196,80 +135,80 @@ class _Parser:
         raise ParseError(f"got {text!r}" if text else "unexpected end of input", off, (repr(op),))
 
     def parse(self) -> Expr:
-        e = self.expr()
+        self.expr()
         kind, text, off = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", off, ("operator", "end of input"))
-        return e
+        return tuple(self.out)
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self) -> None:
+        self.term()
         while tok := self.accept("+-"):
-            e = BinOp(tok[1], e, self.term())
-        return e
+            self.term()
+            self.out.append(tok[1])
 
-    def term(self) -> Expr:
-        e = self.unary()
+    def term(self) -> None:
+        self.unary()
         while tok := self.accept("*/"):
-            e = BinOp(tok[1], e, self.unary())
-        return e
+            self.unary()
+            self.out.append(tok[1])
 
-    def unary(self) -> Expr:
+    def unary(self) -> None:
         negs = 0
         while self.accept("-"):  # a loop, so long chains of minus signs cost no recursion
             negs += 1
-        e = self.power()
-        for _ in range(negs):
-            e = Neg(e)
-        return e
+        self.power()
+        self.out += ["neg"] * negs
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> None:
+        self.atom()
         if tok := self.accept("^"):
-            return BinOp("^", base, self.nested(self.unary, tok[2]))  # right-associative
-        return base
+            self.nested(self.unary, tok[2])  # right-associative
+            self.out.append("^")
 
-    def nested(self, parse, off: int) -> Expr:
+    def nested(self, parse, off: int) -> None:
         """Parse one level deeper: inside parentheses, call arguments or an exponent."""
         if self.depth == MAX_DEPTH:
             raise ParseError("expression nested too deeply", off)
         self.depth += 1
-        e = parse()
+        parse()
         self.depth -= 1
-        return e
 
-    def atom(self) -> Expr:
+    def atom(self) -> None:
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(float(text))
+            self.out.append(float(text))
+            return
         if kind == "name":
             if text in VARIABLES:
-                return Var(text)
+                self.out.append(text)
+                return
             if text in FUNCTIONS:
                 arity = FUNCTIONS[text]
                 paren = self.expect_op("(")[2]
-                args = [self.nested(self.expr, paren)]
+                self.nested(self.expr, paren)
+                args = 1
                 while self.accept(","):
-                    args.append(self.nested(self.expr, paren))
+                    self.nested(self.expr, paren)
+                    args += 1
                 self.expect_op(")")
-                if len(args) != arity:
-                    raise ParseError(
-                        f"{text} takes {arity} argument(s), got {len(args)}", off
-                    )
-                return Call(text, tuple(args))
+                if args != arity:
+                    raise ParseError(f"{text} takes {arity} argument(s), got {args}", off)
+                self.out.append(text)
+                return
             raise ParseError(
                 f"unknown identifier {text!r}", off, ("x", "t", *sorted(FUNCTIONS))
             )
         if kind == "op" and text == "(":
-            e = self.nested(self.expr, off)
+            self.nested(self.expr, off)
             self.expect_op(")")
-            return e
+            return
         what = f"got {text!r}" if text else "unexpected end of input"
         raise ParseError(what, off, ("number", "name", "'('", "'-'"))
 
 
 def parse(src: str) -> Expr:
-    """Parse a source string into an Expr or raise a position-annotated ParseError."""
+    """Compile a source string into a postfix program or raise a position-annotated ParseError."""
     return _Parser(src).parse()
 
 
@@ -287,39 +226,33 @@ def _pow(a, b):
     return np.where(whole, out, np.where(a < 0.0, np.nan, real))
 
 
-_FUNCS = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": _pow,
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt": np.sqrt,
-    "max": lambda a, b: np.where(b > a, b, a),  # Python's order: a unless b is beyond it
-    "min": lambda a, b: np.where(b < a, b, a),
+_FUNCS = {  # instruction: (function, arity)
+    "+": (np.add, 2), "-": (np.subtract, 2), "*": (np.multiply, 2), "/": (np.divide, 2),
+    "^": (_pow, 2), "neg": (np.negative, 1),
+    "sin": (np.sin, 1), "cos": (np.cos, 1), "exp": (np.exp, 1), "abs": (np.abs, 1),
+    "sqrt": (np.sqrt, 1),
+    "max": (lambda a, b: np.where(b > a, b, a), 2),  # Python's order: a unless b is beyond it
+    "min": (lambda a, b: np.where(b < a, b, a), 2),
 }
 
 
 def evaluate(e: Expr, x, t):
     """Evaluate elementwise over broadcast x and t with IEEE semantics: inf/nan propagate.
 
-    Walks the tree with an explicit stack, so depth is bounded by memory,
-    not by Python's recursion limit.  Returns a float for scalar x and t,
-    else an array of their broadcast shape.
+    Runs the program on a value stack, each instruction on the values its
+    operands left on top.  Returns a float for scalar x and t, else an
+    array of their broadcast shape.
     """
     env = {"x": np.asarray(x, dtype=float), "t": np.asarray(t, dtype=float)}
-    todo, vals = [e], []
+    vals = []
     with np.errstate(all="ignore"):
-        while todo:
-            node = todo.pop()
-            if isinstance(node, tuple):  # (function, arity): its operands are on vals
-                fn, k = node
-                vals[-k:] = [fn(*vals[-k:])]
-            elif isinstance(node, Num):
-                vals.append(node.value)
-            elif isinstance(node, Var):
-                vals.append(env[node.name])
-            elif isinstance(node, Neg):
-                todo += [(np.negative, 1), node.arg]
-            elif isinstance(node, BinOp):
-                todo += [(_FUNCS[node.op], 2), node.right, node.left]
+        for op in e:
+            if isinstance(op, float):
+                vals.append(op)
+            elif op in env:
+                vals.append(env[op])
             else:
-                todo += [(_FUNCS[node.name], len(node.args)), *reversed(node.args)]
+                fn, k = _FUNCS[op]
+                vals[-k:] = [fn(*vals[-k:])]
     out = np.array(np.broadcast_to(vals[0], np.broadcast_shapes(env["x"].shape, env["t"].shape)))
     return float(out) if out.ndim == 0 else out
-

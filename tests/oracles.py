@@ -6,9 +6,9 @@ positive/negative split of a grid function, the Grunwald-Letnikov
 binomial weights, the randomized trials run one solve per trial with
 each trial's forcing a scalar-t closure of its own draws, sampled step
 by step, the mollified weak residual with one discrete convolution per
-node, the expression language evaluated one scalar (x, t) at a time by
-a recursive tree walk with Python's math module, and the printer whose
-output parses back to the same tree.
+node, the expression language's postfix programs run one scalar (x, t)
+at a time with Python's math module, and the printer whose output
+parses back to the same program.
 """
 
 import math
@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from tsfrac.exprparse import BinOp, Call, Expr, Neg, Num, Var
+from tsfrac.exprparse import Expr
 
 from tsfrac.fraclap import Field, bilinear_a, normalization_constant
 from tsfrac.principles import PrincipleReport, TrialConfig, check_nonnegativity, check_parabolic_boundary
@@ -186,75 +186,89 @@ def _pow(a: float, b: float) -> float:
         return math.inf
 
 
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+def _exp(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+_SCALAR = {  # instruction: (scalar function, arity)
+    "+": (lambda a, b: a + b, 2),
+    "-": (lambda a, b: a - b, 2),
+    "*": (lambda a, b: a * b, 2),
+    "/": (_div, 2),
+    "^": (_pow, 2),
+    "neg": (lambda a: -a, 1),
+    "sin": (lambda a: math.sin(a) if math.isfinite(a) else math.nan, 1),
+    "cos": (lambda a: math.cos(a) if math.isfinite(a) else math.nan, 1),
+    "exp": (_exp, 1),
+    "abs": (abs, 1),
+    "sqrt": (lambda a: math.sqrt(a) if a >= 0.0 else math.nan, 1),
+    "max": (max, 2),
+    "min": (min, 2),
+}
+
+
 def evaluate_reference(e: Expr, x: float, t: float) -> float:
-    """Evaluate with IEEE semantics: inf/nan propagate, nothing raises."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(x) if e.name == "x" else float(t)
-    if isinstance(e, Neg):
-        return -evaluate_reference(e.arg, x, t)
-    if isinstance(e, BinOp):
-        a = evaluate_reference(e.left, x, t)
-        b = evaluate_reference(e.right, x, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                if a == 0.0 or math.isnan(a):
-                    return math.nan
-                return math.copysign(math.inf, a) * math.copysign(1.0, b)
-            return a / b
-        return _pow(a, b)
-    a = [evaluate_reference(arg, x, t) for arg in e.args]
-    if e.name == "sin":
-        return math.sin(a[0]) if math.isfinite(a[0]) else math.nan
-    if e.name == "cos":
-        return math.cos(a[0]) if math.isfinite(a[0]) else math.nan
-    if e.name == "exp":
-        try:
-            return math.exp(a[0])
-        except OverflowError:
-            return math.inf
-    if e.name == "abs":
-        return abs(a[0])
-    if e.name == "sqrt":
-        return math.sqrt(a[0]) if a[0] >= 0.0 else math.nan
-    if e.name == "max":
-        return max(a[0], a[1])
-    return min(a[0], a[1])
+    """Run a program on a stack of Python floats: IEEE semantics, inf/nan propagate, nothing raises."""
+    vals = []
+    for op in e:
+        if isinstance(op, float):
+            vals.append(op)
+        elif op == "x":
+            vals.append(float(x))
+        elif op == "t":
+            vals.append(float(t))
+        else:
+            fn, k = _SCALAR[op]
+            args = [vals.pop() for _ in range(k)][::-1]
+            vals.append(fn(*args))
+    return vals[0]
 
 
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _render(e: Expr, parent_level: int) -> str:
-    if isinstance(e, Num):
-        s = repr(e.value)
-        return s[:-2] if s.endswith(".0") else s
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(_render(a, 0) for a in e.args)})"
-    if isinstance(e, Neg):
-        inner = _render(e.arg, _LEVEL["neg"])
-        s = f"-{inner}"
-        return f"({s})" if parent_level > _LEVEL["neg"] else s
-    lvl = _LEVEL[e.op]
-    if e.op == "^":
-        left = _render(e.left, lvl + 1)  # left operand must bind tighter
-        right = _render(e.right, _LEVEL["neg"])  # right side admits unary minus
-    else:
-        left = _render(e.left, lvl)
-        right = _render(e.right, lvl + 1)  # - and / are left-associative
-    s = f"{left} {e.op} {right}"
-    return f"({s})" if parent_level > lvl else s
+_ATOM = 5  # literals, variables and calls never take parentheses
 
 
 def to_str(e: Expr) -> str:
-    """Pretty-print with minimal parentheses; parse(to_str(e)) reproduces e."""
-    return _render(e, 0)
+    """Pretty-print with minimal parentheses; parse(to_str(e)) reproduces e.
+
+    A stack of (text, level) pairs: an operand below the level its place
+    needs is parenthesized.
+    """
+
+    def place(item, need):
+        s, lvl = item
+        return f"({s})" if need > lvl else s
+
+    stack = []
+    for op in e:
+        if isinstance(op, float):
+            s = repr(op)
+            stack.append((s[:-2] if s.endswith(".0") else s, _ATOM))
+        elif op in ("x", "t"):
+            stack.append((op, _ATOM))
+        elif op == "neg":
+            stack.append(("-" + place(stack.pop(), _LEVEL["neg"]), _LEVEL["neg"]))
+        elif op in _LEVEL:
+            right, left, lvl = stack.pop(), stack.pop(), _LEVEL[op]
+            if op == "^":
+                # the left operand must bind tighter; the right side admits unary minus
+                s = f"{place(left, lvl + 1)} ^ {place(right, _LEVEL['neg'])}"
+            else:
+                s = f"{place(left, lvl)} {op} {place(right, lvl + 1)}"  # - and / are left-associative
+            stack.append((s, lvl))
+        else:
+            k = _SCALAR[op][1]
+            args = [stack.pop()[0] for _ in range(k)][::-1]
+            stack.append((f"{op}({', '.join(args)})", _ATOM))
+    return stack[0][0]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsfrac.cli import ConfigError, load_config, main
+from tsfrac.cli import ConfigError, _study, load_config, main
 
 GOLDEN = {
     "alpha": 0.5,
@@ -179,14 +179,22 @@ class TestKernelTableCommand:
     def test_alpha_whose_complement_rounds_to_one_exit_two(self, tmp_path, capsys):
         # the kernels take the order 1 - alpha, which is 1.0 below alpha ~ 1.1e-16
         cfg = write_config(tmp_path, {"M": 16, "alpha": 1e-300})
-        assert main(["kernel-table", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "'alpha'" in err[0], err
+        for command in ("kernel-table", "convergence"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "k")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {command}: ") and "'alpha'" in err[0], err
+            assert not (tmp_path / "k").exists()  # checked before any work
         cfg = write_config(tmp_path, {"M": 16, "alpha": 1.2e-16}, name="just_above.json")
         assert main(["kernel-table", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 0
 
 
 class TestConvergenceCommand:
+    def test_order_after_a_zero_error_is_nan(self):
+        with np.errstate(divide="raise"):
+            rows = _study("s", (1, 2, 3), {1: 1.0, 2: 0.0, 3: 0.5}.get)
+        assert [r[2] for r in rows] == [1.0, 0.0, 0.5]
+        assert all(math.isnan(r[3]) for r in rows), rows
+
     def test_tiny_alpha_exit_zero(self, tmp_path):
         # E_alpha(-lam), lam = 1.396 > 1, by the spectral rule at alpha = 0.001
         cfg = write_config(tmp_path, {"alpha": 0.001})

@@ -170,23 +170,21 @@ def test_probe_configs(updates, command, code, line):
 
 
 def test_tiny_alpha_convergence_ends_quickly():
-    # The Mittag-Leffler rows take E_alpha(-lam), lam = 1.396 > 1 the
-    # one-node operator, which the spectral rule evaluates at once; the
-    # weak-residual rows then need the kernel of order 1 - alpha, which
-    # rounds to 1.0 at alpha = 1e-300.
+    # The kernels take the order 1 - alpha, which rounds to 1.0 at
+    # alpha = 1e-300: a config error before any study runs.
     t0 = time.perf_counter()
     code, err = run(json.dumps({**README, "alpha": 1e-300}), CONVERGENCE)
     assert time.perf_counter() - t0 < 10.0
-    assert code == 3
-    assert err == ["internal numeric error: gamma must lie in (0,1), got 1.0"]
+    assert code == 2
+    assert err == ["error: convergence: key 'alpha': 1 - alpha rounds to 1.0 at alpha=1e-300"]
 
 
 def test_tiny_alpha_and_beta_convergence_ends_quickly():
     # At beta = 1e-300, lam = 1 - 2^-53 <= 1 takes the series, which would
-    # need about 1.8e301 terms at alpha = 1e-300.
+    # need about 1.8e11 terms at alpha = 1e-10.
     t0 = time.perf_counter()
-    code, err = run(json.dumps({**README, "alpha": 1e-300, "beta": 1e-300}), CONVERGENCE)
+    code, err = run(json.dumps({**README, "alpha": 1e-10, "beta": 1e-300}), CONVERGENCE)
     assert time.perf_counter() - t0 < 10.0
     assert code == 3
     assert err == ["internal numeric error: Mittag-Leffler series did not converge within "
-                   "100000 terms (alpha=1e-300, z=-0.9999999999999999)"]
+                   "100000 terms (alpha=1e-10, z=-0.9999999999999999)"]

@@ -1,4 +1,4 @@
-"""The array evaluator against the scalar tree walk in tests/oracles.py.
+"""The array evaluator against the scalar walk in tests/oracles.py.
 
 ``exprparse.evaluate`` samples an expression on a whole node array at
 once.  Outside exp and non-integer powers it must agree with the scalar
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import evaluate_reference
 
-from tsfrac.exprparse import BinOp, Call, Neg, Num, Var, evaluate, parse
+from tsfrac.exprparse import evaluate, parse
 
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 0.5, -2.5, 3.0]
 SPECIALS += [1e300, -1e300, math.inf, -math.inf]
@@ -32,20 +32,20 @@ def ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
 
 
 def _trees():
-    """Expressions without exp or non-integer powers; exponents are integer literals."""
+    """Programs without exp or non-integer powers; exponents are integer literals."""
     unary = st.sampled_from(["sin", "cos", "abs", "sqrt"])  # exp is held to an ulp bound below
     leaves = st.one_of(
-        st.sampled_from([Var("x"), Var("t")]),
-        st.floats(-1e3, 1e3).map(Num),
+        st.sampled_from([("x",), ("t",)]),
+        st.floats(-1e3, 1e3).map(lambda v: (v,)),
     )
 
     def extend(sub):
         return st.one_of(
-            sub.map(Neg),
-            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
-            st.builds(lambda a, k: BinOp("^", a, Num(float(k))), sub, st.integers(-64, 64)),
-            st.builds(lambda f, a: Call(f, (a,)), unary, sub),
-            st.builds(lambda f, a, b: Call(f, (a, b)), st.sampled_from(["max", "min"]), sub, sub),
+            sub.map(lambda a: a + ("neg",)),
+            st.builds(lambda op, a, b: a + b + (op,), st.sampled_from("+-*/"), sub, sub),
+            st.builds(lambda a, k: a + (float(k), "^"), sub, st.integers(-64, 64)),
+            st.builds(lambda f, a: a + (f,), unary, sub),
+            st.builds(lambda f, a, b: a + b + (f,), st.sampled_from(["max", "min"]), sub, sub),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)

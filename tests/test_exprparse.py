@@ -5,18 +5,10 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsfrac.exprparse import (
-    MAX_DEPTH,
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    ParseError,
-    Var,
-    evaluate,
-    parse,
-)
+from tsfrac.exprparse import FUNCTIONS, MAX_DEPTH, ParseError, evaluate, parse
 
 from oracles import to_str
 
@@ -76,30 +68,26 @@ GOLDEN = [
 
 class TestParsePrecedence:
     def test_power_binds_before_subtraction(self):
-        e = parse("1 - x^2")
-        assert isinstance(e, BinOp) and e.op == "-"
-        assert isinstance(e.right, BinOp) and e.right.op == "^"
+        assert parse("1 - x^2") == (1.0, "x", 2.0, "^", "-")
 
     def test_unary_minus_below_power(self):
-        e = parse("-x^2")
-        assert isinstance(e, Neg)
-        assert isinstance(e.arg, BinOp) and e.arg.op == "^"
+        assert parse("-x^2") == ("x", 2.0, "^", "neg")
 
     def test_power_right_associative(self):
         e = parse("2^3^2")
-        assert isinstance(e.right, BinOp) and e.right.op == "^"
+        assert e == (2.0, 3.0, 2.0, "^", "^")
         assert evaluate(e, 0, 0) == 512.0
 
     def test_mul_before_add(self):
         e = parse("1 + 2*3")
-        assert e.op == "+" and evaluate(e, 0, 0) == 7.0
+        assert e == (1.0, 2.0, 3.0, "*", "+") and evaluate(e, 0, 0) == 7.0
 
     def test_left_associative_subtraction(self):
         assert evaluate(parse("1 - 2 - 3 - 4"), 0, 0) == -8.0
 
     def test_two_arg_call(self):
         e = parse("max(0, sin(3.14159265358979*x))")
-        assert isinstance(e, Call) and e.name == "max" and len(e.args) == 2
+        assert e == (0.0, 3.14159265358979, "x", "*", "sin", "max")
 
     def test_whitespace_insensitive(self):
         assert parse("1-x^2") == parse("  1   -  x ^ 2 ")
@@ -149,7 +137,32 @@ class TestParseErrors:
         assert parsed > 0  # some random strings are valid
 
 
+def _programs():
+    """Programs over the whole grammar whose literals parse can produce: finite and >= +0.0."""
+    leaves = st.one_of(
+        st.sampled_from([("x",), ("t",)]),
+        st.floats(min_value=0.0, allow_infinity=False).map(lambda v: (v,)),  # no -0.0
+    )
+    unary = st.sampled_from([f for f, k in FUNCTIONS.items() if k == 1])
+    binary = st.sampled_from([f for f, k in FUNCTIONS.items() if k == 2])
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(lambda a: a + ("neg",)),
+            st.builds(lambda op, a, b: a + b + (op,), st.sampled_from("+-*/^"), sub, sub),
+            st.builds(lambda f, a: a + (f,), unary, sub),
+            st.builds(lambda f, a, b: a + b + (f,), binary, sub, sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
 class TestRoundTrip:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(p=_programs())
+    def test_printer_inverts_parse(self, p):
+        assert parse(to_str(p)) == p
+
     @pytest.mark.parametrize("src", GOLDEN)
     def test_pretty_print_fixed_point(self, src):
         tree = parse(src)
@@ -212,7 +225,7 @@ class TestNestingLimit:
 
     def test_parentheses_at_the_limit_parse(self):
         e = parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
-        assert e == Var("x")
+        assert e == ("x",)
 
     def test_exponents_and_calls_count_as_nesting(self):
         with pytest.raises(ParseError, match="nested too deeply"):
@@ -222,11 +235,7 @@ class TestNestingLimit:
         assert evaluate(parse("^".join(["1"] * (MAX_DEPTH + 1))), 0.0, 0.0) == 1.0
 
     def test_long_unary_minus_chain_parses_and_evaluates(self):
-        e = parse("-" * 900 + "x")
-        depth = 0
-        while isinstance(e, Neg):
-            e, depth = e.arg, depth + 1
-        assert depth == 900 and e == Var("x")
+        assert parse("-" * 900 + "x") == ("x",) + ("neg",) * 900
         assert evaluate(parse("-" * 900 + "x"), 2.0, 0.0) == 2.0
         assert evaluate(parse("-" * 901 + "x"), 2.0, 0.0) == -2.0
 
@@ -240,7 +249,7 @@ class TestNestingLimit:
     def test_flat_sum_of_five_thousand_terms_evaluates(self):
         e = parse("+".join(["x"] * 5000))
         assert evaluate(e, 1.0, 0.0) == 5000.0
-        assert repr(e).startswith("<tsfrac.exprparse.BinOp object")  # no recursion
+        assert repr(e).count("'+'") == 4999  # a flat program, no recursion
 
     def test_flat_sum_of_five_thousand_terms_compares_and_hashes(self):
         src = "+".join(["x"] * 5000)

@@ -1,7 +1,9 @@
 """The benchmark's contract with the library.
 
 perfbench/run.py calls ``solve``, ``ProblemSpec``, ``run_trials`` and
-``assemble_1d(...).entries`` directly and checks every output it gets.  A
+``assemble_1d(...).entries`` directly and checks every output it gets;
+its ``cli-readme`` workload runs the command line at the README config,
+the only workload that parses and samples config expressions.  A
 library change that breaks one of those calls turns a benchmark run into
 a failed one; these short runs show it in the suite instead.
 """
@@ -16,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["long-history", "trial-sweep"])
+@pytest.mark.parametrize("workload", ["long-history", "trial-sweep", "cli-readme"])
 def test_workload_runs_and_checks_clean(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],
