@@ -37,10 +37,12 @@ _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,6
 # Most bytes a config's solve may be estimated to need, checked before
 # anything is allocated: two n x n matrices (the one buffer that holds A,
 # then b_0 I + A, then its inverse, and its quarter-matrix scratch, with
-# room to spare), plus the states and the sampled forcing ((M+1) x n each).
-# verify's trials run in batches whose states and forcing stay under 4 MiB,
-# or one trial at a time, and keep one report and one seed per trial (888
-# bytes each, measured at n = M = 1), estimated at 1 KiB per trial.
+# room to spare), plus the sampled forcing and the copy of it that the
+# stepper overwrites with the states ((M+1) x n each).  verify's trials run
+# in batches of at most 4 MiB of forcing samples, or one trial at a time,
+# in one buffer whose samples the states overwrite, and keep one report and
+# one seed per trial (888 bytes each, measured at n = M = 1), estimated at
+# 1 KiB per trial.
 _MEMORY_BUDGET = 2 * 2**30
 _TRIAL_BYTES = 2**10
 _MAX_INT = int(sys.float_info.max)  # largest m that is still a finite float

@@ -134,6 +134,8 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
     nonincreasing kernel use :func:`monotone_regularized_kernel`.
     """
     check_order("alpha", alpha)
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
     tau = mesh.tau
     M = mesh.M
     # Per-cell mass of g_{1-alpha}: exact on the singular cell, midpoint after.
@@ -141,12 +143,21 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
     gmass = np.empty(M)
     gmass[0] = g_cell_integral(1.0 - alpha, 0.0, tau)
     gmass[1:] = tau * g_kernel(1.0 - alpha, mids[1:])
-    hmid = h_kernel(m, mids)  # h_m((q + 1/2) tau), q = 0..M-1
-    # out[n] = sum_{j<n} gmass[j] * h_m(t_n - mid_j) = (gmass * hmid)[n-1]
-    out = np.empty(M + 1)
-    out[0] = 0.0
-    out[1:] = np.convolve(gmass, hmid)[:M]
-    return TimeSeries(tau, out)
+    # out[n] = sum_{j<n} gmass[j] h_m(t_n - mid_j), and h_m at the cell
+    # midpoint (q + 1/2) tau is m e^{-m tau/2} r^q with r = e^{-m tau}, so
+    # out[n] = m e^{-m tau/2} S_n with S_n = r S_{n-1} + gmass[n-1], S_0 = 0:
+    # O(M) in place of a convolution.  S_n is formed as
+    # S_{n-1} + (d S_{n-1} + gmass[n-1]) with d = r - 1 = expm1(-m tau) in
+    # (-1, 0]: a rounded r would put its error into r^q, n times over.  As
+    # d S_{n-1} >= -S_{n-1}, every S_n is >= 0.  Python floats: m tau past
+    # float range gives d = -1 with no numpy overflow warning.
+    d = math.expm1(-m * tau)
+    S = 0.0
+    sums = [S]
+    for g in gmass.tolist():
+        S += d * S + g
+        sums.append(S)
+    return TimeSeries(tau, m * math.exp(-0.5 * m * tau) * np.array(sums))
 
 
 def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:

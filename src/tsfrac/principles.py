@@ -221,13 +221,13 @@ def _random_bump(rng, grid: SpaceGrid) -> np.ndarray:
     return sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
 
 
-def _trial_data(kind: str, seed: int, grid: SpaceGrid, times: np.ndarray):
-    """The initial values and the forcing samples of one trial, drawn from its seed.
+def _trial_data(kind: str, seed: int, grid: SpaceGrid):
+    """The initial values and the forcing parameters of one trial, drawn from its seed.
 
     The draws, in order: the u0 bump (_MODES uniforms), the forcing bump
     (_MODES uniforms), omega, phase and, for weak-nonneg, the slack.  The
-    forcing is separable, max(bump(x) * cos(omega t + phase), 0), sampled
-    on the grid nodes at ``times``: shape (len(times), n).
+    parameters are (bump, omega, phase, slack), slack None unless drawn;
+    _sample_forcing turns them into samples.
     """
     rng = np.random.default_rng(seed)
     u0 = _random_bump(rng, grid)
@@ -236,32 +236,50 @@ def _trial_data(kind: str, seed: int, grid: SpaceGrid, times: np.ndarray):
     bump = _random_bump(rng, grid)
     omega = rng.uniform(0.0, 4.0)
     phase = rng.uniform(0.0, 2 * np.pi)
-    forcing = np.maximum(bump * np.cos(omega * times[:, None] + phase), 0.0)
-    if kind == "weak-nonneg":
-        # Manufacture a supersolution of the slack-free problem by adding a
-        # strictly positive forcing slack; the conclusion (nonnegativity)
-        # is then checked exactly.
-        forcing += float(rng.uniform(0.5, 1.5))
-    return u0, forcing
+    # weak-nonneg manufactures a supersolution of the slack-free problem by
+    # adding a strictly positive forcing slack; the conclusion
+    # (nonnegativity) is then checked exactly.
+    slack = float(rng.uniform(0.5, 1.5)) if kind == "weak-nonneg" else None
+    return u0, (bump, omega, phase, slack)
 
 
-_BATCH_BYTES = 4 * 2**20  # most bytes of states plus forcing samples in one batch
+def _sample_forcing(params, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a trial's separable forcing, max(bump(x) cos(omega t + phase), 0) + slack, into out.
+
+    ``out`` has shape (len(times), n); it may be a strided column of a batch.
+    """
+    bump, omega, phase, slack = params
+    np.multiply(bump, np.cos(omega * times[:, None] + phase), out=out)
+    np.maximum(out, 0.0, out=out)
+    if slack is not None:
+        out += slack
+    return out
 
 
-def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
+_BATCH_BYTES = 4 * 2**20  # most bytes of a batch's forcing samples, which its states overwrite
+
+
+def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds, buf: np.ndarray) -> list:
     """Solve a batch of one lattice point's trials in one call of its stepper; check each.
 
-    Trial k's data are drawn into column k of the u0 and forcing arrays,
-    and it is checked on the columns states[:, k] and forcing[:, k].
+    The first (M+1) K n values of ``buf`` hold the batch as one (M+1, K, n)
+    array: trial k's forcing is drawn into its column k, and the stepper
+    writes the states over it.  Each check then reads the states column
+    and the trial's forcing, sampled again from its drawn parameters into
+    one (M+1, n) scratch: the same samples, bit for bit.
     """
     times = mesh.times()
     u0 = np.empty((len(seeds), grid.n))
-    forcing = np.empty((mesh.M + 1, len(seeds), grid.n))
+    batch = buf[: (mesh.M + 1) * len(seeds) * grid.n].reshape(mesh.M + 1, len(seeds), grid.n)
+    params = []
     for k, seed in enumerate(seeds):
-        u0[k], forcing[:, k] = _trial_data(kind, seed, grid, times)
-    states = step(u0, forcing)
+        u0[k], p = _trial_data(kind, seed, grid)
+        _sample_forcing(p, times, batch[:, k])
+        params.append(p)
+    states = step(u0, batch)
     check = check_parabolic_boundary if kind == "boundary-min" else check_nonnegativity
-    return [check(states[:, k], forcing[:, k]) for k in range(len(seeds))]
+    forcing = np.empty((mesh.M + 1, grid.n))
+    return [check(states[:, k], _sample_forcing(p, times, forcing)) for k, p in enumerate(params)]
 
 
 def run_trials(config: TrialConfig) -> PrincipleReport:
@@ -270,17 +288,21 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     Trials sweep the lattice round-robin, and each trial draws its u0 and
     forcing samples as arrays from its own seed.  Each lattice point builds
     one L1 stepper, so A is assembled and b_0 I + A inverted once per
-    point.  A point's trials are split into balanced batches whose states
-    and forcing samples stay under _BATCH_BYTES, each batch one call of the
-    stepper with one right-hand side per trial, and one batch is held at a
-    time.  The worst report is picked in trial order.  Deterministic: the
-    same config yields the identical report.
+    point.  A point's trials are split into balanced batches whose forcing
+    samples stay under _BATCH_BYTES, each batch one call of the stepper
+    with one right-hand side per trial.  The stepper writes the states
+    over the samples, and every batch in turn uses one buffer, sized for
+    the largest.  The worst report is picked in trial order.
+    Deterministic: the same config yields the identical report.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
     lattice = [(float(al), float(be)) for al in config.alphas for be in config.betas]
     grid, mesh = config.grid, config.mesh
-    width = max(1, _BATCH_BYTES // (16 * (mesh.M + 1) * grid.n))
+    width = max(1, _BATCH_BYTES // (8 * (mesh.M + 1) * grid.n))
+    most = len(range(0, config.trials, len(lattice)))  # the first point's trials, the most of any
+    largest = -(-most // -(-most // width))  # its first batch, the largest of any
+    buf = np.empty((mesh.M + 1) * largest * grid.n)
 
     reports = {}  # trial index -> report
     for p, (alpha, beta) in enumerate(lattice):
@@ -289,7 +311,7 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
             continue
         step = l1_stepper(alpha, beta, grid, mesh)
         for batch in np.array_split(group, -(-len(group) // width)):
-            found = _run_batch(config.kind, grid, mesh, step, [seeds[i] for i in batch])
+            found = _run_batch(config.kind, grid, mesh, step, [seeds[i] for i in batch], buf)
             reports.update(zip(batch.tolist(), found))
 
     worst: PrincipleReport | None = None

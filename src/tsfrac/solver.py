@@ -13,11 +13,14 @@ inverse-positive: nonnegative data propagate to nonnegative states
 exactly, which is the discrete engine behind the maximum-principle
 checks.
 
-The history sum is taken in blocks of _BLOCK steps (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6:532, 1985, with dense products in
-place of FFTs).  Before the steps s .. s+_BLOCK-1 of a block run, their
-right-hand sides are formed as one array: first the u^0 and forcing terms,
-then the part of their sums over the states u^1 .. u^{s-1} of all finished
+The stepper writes the states over the forcing samples it is given, as
+LAPACK's solvers write X over B: row n holds f^n until step n writes u^n
+there, and row 0 becomes u^0 (f^0 enters no step).  The history sum is
+taken in blocks of _BLOCK steps (Hairer, Lubich & Schlichte, SIAM J. Sci.
+Stat. Comput. 6:532, 1985, with dense products in place of FFTs).  Before
+the steps s .. s+_BLOCK-1 of a block run, their rows, which hold the
+forcing, get the rest of their right-hand sides: first the u^0 terms, then
+the part of their sums over the states u^1 .. u^{s-1} of all finished
 blocks, one matrix-matrix product per finished block.  Inside the block
 the same splitting runs on the dyadic schedule: once step n, the q-th of
 its block, has its state, the L = q & -q states u^{n-L+1} .. u^n are
@@ -30,10 +33,12 @@ summation differs from a step-by-step sum.
 
 The stepper that l1_stepper builds advances K problems that share alpha,
 beta, the grid and the mesh at once; solve is its one-column call.  The K
-right-hand sides of a step form one C-contiguous row of K n values, so
+right-hand sides of a step form one contiguous row of K n values, so
 the history sums above are the same products on K times wider operands,
 and column k is the one-column result up to the summation order BLAS
-picks for the wider operands.
+picks for the wider operands.  The u^0 terms and the pushes are split
+into pieces of at most _BLOCK/2 / K rows, so no temporary holds more than
+_BLOCK/2 rows of n values, the one-column stepper's largest push.
 
 Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor:
 one general matrix-matrix product of the K rows with G, for every K.
@@ -52,9 +57,10 @@ with X = B_11^{-1}, N = -B_12 >= 0, S = B_22 - N^T (XN) and Y = S^{-1},
 X and Y inverted the same way, down to 1 x 1 blocks [b], b > 0, whose
 inverse is 1 / b.  The sign argument:
 
-- The buffer first holds 0 - B, a subtraction from +0.0, so its
-  off-diagonal entries are nonnegative and none is -0.0; its B_12 block
-  is then N itself.
+- The off-diagonal entries of A are <= 0 (l1_stepper checks them).  The
+  buffer first holds 0 - B, a subtraction from +0.0, so its off-diagonal
+  entries are nonnegative and none is -0.0; its B_12 block is then N
+  itself.
 - A Schur complement of an M-matrix is an M-matrix, and in floating point
   every off-diagonal entry of S is a nonpositive number minus a
   nonnegative product.  The buffer holds -S = -B_22 + (N^T X) N, a
@@ -163,14 +169,16 @@ def solve(problem: ProblemSpec) -> Solution:
     """Sample the problem's forcing and run all M L1-implicit steps.
 
     A one-column call of the stepper that l1_stepper builds at the
-    problem's orders, grid and mesh; deterministic for fixed inputs.
-    Raises ValueError for L1 weights that break the positivity premise
-    (l1_stepper), for a non-finite u0 or forcing sample (checked after the
+    problem's orders, grid and mesh, on a copy of the forcing samples,
+    which it overwrites with the states: Solution.forcing keeps the
+    samples.  Deterministic for fixed inputs.
+    Raises ValueError for L1 weights or an operator that break the
+    positivity premise (l1_stepper), for a non-finite u0 or forcing sample (checked after the
     inversion, before the first step) and for states that overflow.
     """
     fsamp = problem.forcing_samples()
     step = l1_stepper(problem.orders.alpha, problem.orders.beta, problem.grid, problem.mesh)
-    states = step(problem.u0.values[None], fsamp[:, None])
+    states = step(problem.u0.values[None], fsamp.copy()[:, None])
     return Solution(problem=problem, states=states[:, 0], forcing=fsamp)
 
 
@@ -183,21 +191,25 @@ def l1_stepper(
     here, once: A = assemble_1d(grid, beta) gets b_0 added to its diagonal
     and is inverted in place, so b_0 I + A and G share one n x n buffer.
     The returned function takes ``u0`` of shape (K, n) and the forcing
-    samples of shape (M+1, K, n), for any K, and returns the states of the
-    K problems, shape (M+1, K, n).  Its steps run in blocks of _BLOCK: a
-    block starting at step s first forms, in its own rows of the states,
-    the right-hand sides of all its steps from u^0, the forcing and the
-    history over u^1 .. u^{s-1}, one matrix-matrix product per finished
-    block of states; each step then multiplies its K rows by G and pushes
-    its dyadic sub-block of states into the rows of the next steps.
+    samples of shape (M+1, K, n), for any K, and overwrites the samples
+    with the states of the K problems, which it returns: the same array.
+    The samples must be float64 and their rows of K n values views, not
+    copies (a C-contiguous array, or a column slice of one, qualifies).
+    Its steps run in blocks of _BLOCK: a block starting at step s first
+    adds to the forcing in its rows the u^0 terms and the history over
+    u^1 .. u^{s-1}, one matrix-matrix product per finished block of
+    states; each step then multiplies its K rows by G and pushes its
+    dyadic sub-block of states into the rows of the next steps.
     Nonnegative data give exactly nonnegative states.
 
     That rests on b_0 > 0, b_{j-1} - b_j >= 0 (j = 1..M) and b_M >= 0,
-    which rounding can break at alpha near 0 or 1 with many steps:
-    l1_stepper then raises ValueError naming alpha, M and the first bad j.
-    The returned function raises ValueError for a non-finite u0 or forcing
-    sample (before the first step, so after the inversion) and for states
-    that overflow.
+    which rounding can break at alpha near 0 or 1 with many steps, and on
+    off-diagonal entries of A that are <= 0, which rounding breaks for
+    beta within about 1e-11 of 1/2: l1_stepper then raises ValueError
+    naming alpha, M and the first bad j, or beta, n and the first bad
+    distance.  The returned function raises ValueError for samples of
+    another type or layout and for a non-finite u0 or forcing sample, all
+    before it writes anything, and for states that overflow.
     """
     M, nx = mesh.M, grid.n
     b = l1_weights(alpha, mesh.tau, M)
@@ -208,6 +220,11 @@ def l1_stepper(
         raise ValueError(f"L1 weights at alpha={alpha!r}, M={M} break b_0 > 0, b_(j-1) >= b_j, "
                          f"b_M >= 0 first at j={j}")
     G = assemble_1d(grid, beta).entries
+    # A_ij = -c coef_|i-j|, so row 0 holds every off-diagonal value once.
+    bad = np.flatnonzero(G[0, 1:] > 0.0)
+    if bad.size:
+        raise ValueError(f"operator at beta={beta!r}, n={nx} has a positive off-diagonal entry, "
+                         f"first at distance d={int(bad[0]) + 1}")
     G.flat[:: nx + 1] += b[0]
     _inverse(G)
     # toeplitz[r, c] = w[r + _BLOCK - 1 - c], zero past w[M-1] so that M < _BLOCK has a view too
@@ -215,6 +232,10 @@ def l1_stepper(
 
     def l1_states(u0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         K = u0.shape[0]
+        flat = forcing.reshape(M + 1, K * nx) if forcing.shape == (M + 1, K, nx) else None
+        if forcing.dtype != np.float64 or flat is None or not np.may_share_memory(flat, forcing):
+            raise ValueError(f"forcing must be float64 of shape {(M + 1, K, nx)} with rows of K n values "
+                             f"that the states overwrite, got {forcing.dtype} of shape {forcing.shape}")
         if not np.isfinite(u0).all():
             k, i = np.argwhere(~np.isfinite(u0))[0]
             raise ValueError(f"u0 is {u0[k, i]} at x={float(grid.nodes()[i])!r}")
@@ -223,29 +244,31 @@ def l1_stepper(
             x, t = float(grid.nodes()[i]), float(mesh.times()[j])
             raise ValueError(f"forcing sample is {forcing[j, k, i]} at (x={x!r}, t={t!r})")
         step = np.empty((K, nx))
-        states = np.empty((M + 1, K, nx))
-        flat = states.reshape(M + 1, K * nx)
+        states = forcing
         states[0] = u0
-        fflat = forcing.reshape(M + 1, K * nx)
+        rows = max(1, _BLOCK // 2 // K)  # rows of K n values per temporary
         # An overflow shows as a non-finite state and is reported after the loop.
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, M + 1, _BLOCK):
                 e = min(s + _BLOCK, M + 1)
-                # Row n of the block first holds the u^0 and forcing terms of
+                # Row n of the block holds f^n.  It first gets the u^0 term of
                 # step n, then its sum over the states u^1 .. u^{s-1} of the
                 # finished blocks, one product per block u^c .. u^{c+_BLOCK-1}.
-                rhs = flat[s:e]
-                np.multiply(b[s - 1 : e - 1, None], flat[0], out=rhs)
-                rhs += fflat[s:e]
+                for c0 in range(s, e, rows):
+                    c1 = min(c0 + rows, e)
+                    flat[c0:c1] += b[c0 - 1 : c1 - 1, None] * flat[0]
                 for c in range(1, s, _BLOCK):
-                    rhs += toeplitz[s - c - _BLOCK : e - c - _BLOCK] @ flat[c : c + _BLOCK]
+                    flat[s:e] += toeplitz[s - c - _BLOCK : e - c - _BLOCK] @ flat[c : c + _BLOCK]
                 for n in range(s, e):
                     np.matmul(states[n], G, out=step)
                     states[n] = step
                     q = n - s + 1  # step n is the q-th of its block
                     L = q & -q
                     r = min(n + 1 + L, e)  # push u^{n-L+1} .. u^n into rows n+1 .. r-1
-                    flat[n + 1 : r] += np.dot(toeplitz[: r - n - 1, _BLOCK - L :], flat[n + 1 - L : n + 1])
+                    for c0 in range(n + 1, r, rows):
+                        c1 = min(c0 + rows, r)
+                        flat[c0:c1] += np.dot(toeplitz[c0 - n - 1 : c1 - n - 1, _BLOCK - L :],
+                                              flat[n + 1 - L : n + 1])
         if not np.isfinite(flat).all():
             k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"states overflow: u^{k} is not finite")

@@ -289,6 +289,15 @@ class TestExitCodes:
         assert len(err) == 1, err
         assert err[0].startswith("internal numeric error: L1 weights at alpha=1e-09, M=4096 "), err
 
+    def test_positive_off_diagonal_exit_three(self, tmp_path, capsys):
+        # At beta = 0.5 + 5e-13 and n = 256 rounding leaves 76 off-diagonal
+        # entries of A positive, so exact positivity has lost its premise.
+        cfg = write_config(tmp_path, {"n": 256, "beta": 0.5 + 5e-13})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("internal numeric error: operator at beta=0.5000000000005, n=256 "), err
+
     def test_memory_preflight_exit_two(self, tmp_path, monkeypatch, capsys):
         # Decided from the estimate alone: nothing of the size is allocated.
         def unreachable(*args, **kwargs):

@@ -125,7 +125,7 @@ class TestHKernel:
             h_kernel(0, 1.0)
         with pytest.raises(ValueError):
             h_kernel(2, -0.5)
-        # regularized_kernel leaves the m check to the h_kernel it calls
+        # regularized_kernel checks m with h_kernel's message
         with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
             regularized_kernel(0.5, 0, TimeMesh(1.0, 4))
 
@@ -138,6 +138,22 @@ class TestRegularizedKernel:
                 for m in (1, 4, 16, 64):
                     k = regularized_kernel(alpha, m, mesh)
                     assert np.all(k.values >= 0.0), (M, alpha, m)
+
+    @pytest.mark.parametrize("M", [256, 8192])
+    def test_recurrence_matches_convolution(self, M):
+        # The O(M) recurrence against the convolution of the per-cell masses
+        # of g_{1-alpha} with h_m at the cell midpoints, over the default
+        # m_ladder: the same sum in another order.
+        mesh = TimeMesh(1.0, M)
+        mids = (np.arange(M) + 0.5) * mesh.tau
+        for alpha in (0.1, 0.5, 0.9, 0.99):
+            gmass = mesh.tau * g_kernel(1.0 - alpha, mids)
+            gmass[0] = g_cell_integral(1.0 - alpha, 0.0, mesh.tau)
+            for m in (4, 16, 64, 256):
+                ref = np.convolve(gmass, h_kernel(m, mids))[:M]
+                k = regularized_kernel(alpha, m, mesh).values
+                assert k[0] == 0.0
+                assert np.max(np.abs(k[1:] - ref) / ref) <= 1e-13, (alpha, m)
 
     def test_zero_at_origin(self):
         k = regularized_kernel(0.5, 8, TimeMesh(1.0, 64))

@@ -295,19 +295,19 @@ class TestBatchedTrials:
             assert np.array_equal(forcing, problem.forcing_samples())
 
     def test_batch_widths(self, monkeypatch):
-        # 16 (M+1) n bytes per trial against a 4 MiB cap: 7 trials fit at
-        # n = 128, M = 256, so 20 trials on one point run as 7, 7, 6 ...
+        # 8 (M+1) n bytes per trial against a 4 MiB cap: 15 trials fit at
+        # n = 128, M = 256, so 20 trials on one point run as 10, 10 ...
         calls = record_batches(monkeypatch)
         run_trials(one_point())
-        assert [len(u0) for u0, _ in calls] == [7, 7, 6]
-        # ... and one at a time once a single trial needs 4 MiB.
+        assert [len(u0) for u0, _ in calls] == [10, 10]
+        # ... and two at a time once a single trial needs 2 MiB.
         calls.clear()
         run_trials(one_point(trials=3, n=512, M=511))
-        assert [len(u0) for u0, _ in calls] == [1, 1, 1]
+        assert [len(u0) for u0, _ in calls] == [2, 1]
 
     def test_one_inverse_per_lattice_point(self, monkeypatch):
         # 8 trials per point of a 2 x 2 lattice at n = 128, M = 256 run as
-        # batches of 4 and 4; all batches of a point share one inverse.
+        # one batch of 8; each point inverts once.
         inversions = []
         original = solver._inverse
 
@@ -320,8 +320,26 @@ class TestBatchedTrials:
         config = TrialConfig(kind="nonneg", trials=32, seed=0, alphas=(0.3, 0.7), betas=(0.4, 0.8),
                              grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256))
         run_trials(config)
-        assert [len(u0) for u0, _ in calls] == [4, 4] * 4
+        assert [len(u0) for u0, _ in calls] == [8] * 4
         assert inversions == [(128, 128)] * 4
+
+    def test_one_buffer_peak_on_criterion_01_lattice(self):
+        # 128 trials at n = 128, M = 256 run as one batch of 8 per point, in
+        # one 2.1 MB buffer that the states overwrite.  Two arrays of the
+        # states and the forcing in batches of 4 peaked at 2.96-2.97 MB
+        # here (tracemalloc, after a warm-up call); one buffer at 2.84-2.85.
+        run_trials(one_point(trials=2, n=8, M=8))
+        lattice = (0.3, 0.5, 0.7, 0.9)
+        for kind in ("nonneg", "boundary-min"):
+            config = TrialConfig(kind=kind, trials=128, seed=101, alphas=lattice, betas=lattice,
+                                 grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256))
+            tracemalloc.start()
+            try:
+                run_trials(config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2_960_000, (kind, peak)
 
     def test_memory_peak(self):
         # One batch of 7 holds about 3.7 MB of states and forcing samples.

@@ -258,7 +258,7 @@ class TestBlockedHistorySum:
         grid, mesh = SpaceGrid(-1.0, 1.0, 8), TimeMesh(1.0, M)
         A = assemble_1d(grid, 0.6)
         u0, F = rng.uniform(0.0, 1.0, (K, 8)), rng.uniform(0.0, 1.0, (M + 1, K, 8))
-        states = l1_stepper(0.4, 0.6, grid, mesh)(u0, F)
+        states = l1_stepper(0.4, 0.6, grid, mesh)(u0, F.copy())
         for k in range(K):
             sol = Solution(ProblemSpec(FracOrders(0.4, 0.6), grid, mesh, Field(grid, u0[k]), ZERO_F),
                            states[:, k], F[:, k])
@@ -383,6 +383,72 @@ def test_weight_premise_holds_or_stepper_raises(alpha, M):
         l1_stepper(alpha, 0.5, ONE_NODE, mesh)
 
 
+class TestStatesOverForcing:
+    """The stepper writes the states over the forcing samples it is given
+    and returns that array; solve gives it a copy of its samples."""
+
+    def test_returns_its_forcing_argument(self):
+        grid, mesh, u0, F = TestManyColumns.data(16, 3, 300, seed=11)
+        states = l1_stepper(0.4, 0.6, grid, mesh)(u0, F)
+        assert states is F
+        assert np.array_equal(states[0], u0)
+
+    def test_states_match_a_run_on_a_copy(self):
+        grid, mesh, u0, F = TestManyColumns.data(16, 3, 300, seed=12)
+        step = l1_stepper(0.4, 0.6, grid, mesh)
+        copy = F.copy()
+        assert np.array_equal(step(u0, F), step(u0, copy))
+        assert np.array_equal(F, copy)
+
+    def test_solve_keeps_the_samples(self):
+        problem = random_problem(16, 300, 0.7, 0.6, seed=13)
+        sol = solve(problem)
+        assert np.array_equal(sol.forcing, problem.forcing_samples())
+        assert np.array_equal(sol.states[0], problem.u0.values)
+
+    def test_errors_leave_the_samples_untouched(self):
+        grid, mesh, u0, F = TestManyColumns.data(16, 3, 8, seed=14)
+        step = l1_stepper(0.5, 0.6, grid, mesh)
+        bad = u0.copy()
+        bad[1, 2] = np.inf
+        kept = F.copy()
+        with pytest.raises(ValueError, match="^u0 is inf at x="):
+            step(bad, F)
+        assert np.array_equal(F, kept)
+
+    def test_refuses_samples_it_cannot_overwrite(self):
+        grid, mesh, u0, F = TestManyColumns.data(16, 4, 8, seed=15)
+        step = l1_stepper(0.5, 0.6, grid, mesh)
+        for bad, K in ((F.astype(np.float32), 4), (F[:, ::2], 2), (F.transpose(0, 2, 1).copy(), 4)):
+            with pytest.raises(ValueError, match="^forcing must be float64 of shape"):
+                step(u0[:K], bad)
+        # A column slice reshapes to rows without a copy: it is overwritten.
+        col = step(u0[1:2], F[:, 1:2])
+        assert np.shares_memory(col, F)
+
+
+class TestOperatorSignPremise:
+    """Exact positivity needs every off-diagonal entry of A to be <= 0;
+    rounding breaks that for beta within about 1e-11 of 1/2."""
+
+    def test_positive_off_diagonal_refused(self):
+        grid = SpaceGrid(-1.0, 1.0, 256)
+        beta = 0.5 + 5e-13
+        off = assemble_1d(grid, beta).entries[0, 1:]
+        first = int(np.flatnonzero(off > 0.0)[0]) + 1
+        assert np.count_nonzero(off > 0.0) == 76
+        with pytest.raises(ValueError) as info:
+            l1_stepper(0.5, beta, grid, TimeMesh(1.0, 16))
+        assert str(info.value) == (f"operator at beta={beta!r}, n=256 has a positive off-diagonal entry, "
+                                   f"first at distance d={first}")
+
+    @pytest.mark.parametrize("n", [16, 128, 256])
+    def test_half_is_accepted(self, n):
+        grid = SpaceGrid(-1.0, 1.0, n)
+        assert assemble_1d(grid, 0.5).entries[0, 1:].max() <= 0.0
+        l1_stepper(0.5, 0.5, grid, TimeMesh(1.0, 16))
+
+
 class TestManyColumns:
     """The stepper that ``l1_stepper`` builds steps K problems at once: each
     step multiplies the K right-hand sides by the inverse in one
@@ -401,7 +467,7 @@ class TestManyColumns:
     def test_columns_match_one_column_solves(self, n, K, M):
         grid, mesh, u0, F = self.data(n, K, M, seed=1000 * n + 10 * K + M)
         step = l1_stepper(0.4, 0.6, grid, mesh)
-        got = step(u0, F)
+        got = step(u0, F.copy())
         assert got.shape == (M + 1, K, n)
         for k in range(K):
             one = step(u0[k : k + 1], F[:, k : k + 1])
