@@ -300,8 +300,8 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     lattice = [(float(al), float(be)) for al in config.alphas for be in config.betas]
     grid, mesh = config.grid, config.mesh
     width = max(1, _BATCH_BYTES // (8 * (mesh.M + 1) * grid.n))
-    most = len(range(0, config.trials, len(lattice)))  # the first point's trials, the most of any
-    largest = -(-most // -(-most // width))  # its first batch, the largest of any
+    most = len(range(0, config.trials, len(lattice)))  # every point has most or most - 1 trials
+    largest = max(-(-g // -(-g // width)) for g in (most, most - 1) if g > 0)  # first batch of each
     buf = np.empty((mesh.M + 1) * largest * grid.n)
 
     reports = {}  # trial index -> report

@@ -36,9 +36,9 @@ beta, the grid and the mesh at once; solve is its one-column call.  The K
 right-hand sides of a step form one contiguous row of K n values, so
 the history sums above are the same products on K times wider operands,
 and column k is the one-column result up to the summation order BLAS
-picks for the wider operands.  The u^0 terms and the pushes are split
-into pieces of at most _BLOCK/2 / K rows, so no temporary holds more than
-_BLOCK/2 rows of n values, the one-column stepper's largest push.
+picks for the wider operands.  The u^0 terms, the finished-block products
+and the pushes are split into pieces of at most _BLOCK/2 / K rows, so no
+product holds more than _BLOCK/2 rows of n values, for any K and M.
 
 Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor:
 one general matrix-matrix product of the K rows with G, for every K.
@@ -197,8 +197,8 @@ def l1_stepper(
     copies (a C-contiguous array, or a column slice of one, qualifies).
     Its steps run in blocks of _BLOCK: a block starting at step s first
     adds to the forcing in its rows the u^0 terms and the history over
-    u^1 .. u^{s-1}, one matrix-matrix product per finished block of
-    states; each step then multiplies its K rows by G and pushes its
+    u^1 .. u^{s-1}, by matrix-matrix products with each finished block
+    of states; each step then multiplies its K rows by G and pushes its
     dyadic sub-block of states into the rows of the next steps.
     Nonnegative data give exactly nonnegative states.
 
@@ -253,12 +253,12 @@ def l1_stepper(
                 e = min(s + _BLOCK, M + 1)
                 # Row n of the block holds f^n.  It first gets the u^0 term of
                 # step n, then its sum over the states u^1 .. u^{s-1} of the
-                # finished blocks, one product per block u^c .. u^{c+_BLOCK-1}.
+                # finished blocks, by products with each block u^c .. u^{c+_BLOCK-1}.
                 for c0 in range(s, e, rows):
                     c1 = min(c0 + rows, e)
                     flat[c0:c1] += b[c0 - 1 : c1 - 1, None] * flat[0]
-                for c in range(1, s, _BLOCK):
-                    flat[s:e] += toeplitz[s - c - _BLOCK : e - c - _BLOCK] @ flat[c : c + _BLOCK]
+                    for c in range(1, s, _BLOCK):
+                        flat[c0:c1] += toeplitz[c0 - c - _BLOCK : c1 - c - _BLOCK] @ flat[c : c + _BLOCK]
                 for n in range(s, e):
                     np.matmul(states[n], G, out=step)
                     states[n] = step

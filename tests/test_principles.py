@@ -305,6 +305,18 @@ class TestBatchedTrials:
         run_trials(one_point(trials=3, n=512, M=511))
         assert [len(u0) for u0, _ in calls] == [2, 1]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_smaller_point_may_run_the_larger_batch(self, kind, monkeypatch):
+        # 15 trials fit at n = 128, M = 256.  Of 31 trials on two points the
+        # first gets 16, run as 8 + 8, and the second 15, run as one batch
+        # of 15: the buffer the batches share must hold the 15.
+        calls = record_batches(monkeypatch)
+        config = TrialConfig(kind=kind, trials=31, seed=2, alphas=(0.3, 0.7), betas=(0.5,),
+                             grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256))
+        got = json.dumps(run_trials(config).to_json_dict())
+        assert [len(u0) for u0, _ in calls] == [8, 8, 15]
+        assert got == json.dumps(run_trials_reference(config).to_json_dict())
+
     def test_one_inverse_per_lattice_point(self, monkeypatch):
         # 8 trials per point of a 2 x 2 lattice at n = 128, M = 256 run as
         # one batch of 8; each point inverts once.
@@ -342,7 +354,8 @@ class TestBatchedTrials:
             assert peak <= 2_960_000, (kind, peak)
 
     def test_memory_peak(self):
-        # One batch of 7 holds about 3.7 MB of states and forcing samples.
+        # Two batches of 10 share one buffer of about 2.6 MB, which holds
+        # the forcing samples until the states overwrite them.
         config = one_point()
         tracemalloc.start()
         try:

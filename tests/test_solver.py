@@ -27,6 +27,7 @@ from tsfrac.solver import (
     solution_metadata,
     solution_to_csv,
     solve,
+    _BLOCK,
     _inverse,
     weak_residual,
 )
@@ -425,6 +426,25 @@ class TestStatesOverForcing:
         # A column slice reshapes to rows without a copy: it is overwritten.
         col = step(u0[1:2], F[:, 1:2])
         assert np.shares_memory(col, F)
+
+
+    @pytest.mark.parametrize("K", [1, 7])
+    def test_temporaries_past_one_block(self, K):
+        # At M = 512 the second block adds products with the first.  They
+        # run in pieces of _BLOCK/2 / K rows, as the pushes do, so the peak
+        # is the (M+1) K n-byte mask of the finite check, or one product of
+        # at most _BLOCK/2 rows of n values and the operands copied for it.
+        # One product over the whole block peaked at 1.8 MB at K = 7.
+        n, M = 128, 512
+        grid, mesh, u0, F = TestManyColumns.data(n, K, M, seed=16)
+        step = l1_stepper(0.4, 0.6, grid, mesh)
+        tracemalloc.start()
+        try:
+            step(u0, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (M + 1) * K * n + 2 * 8 * (_BLOCK // 2) * n, peak
 
 
 class TestOperatorSignPremise:
