@@ -25,7 +25,6 @@ from .fraclap import (
 )
 from .kernels import (
     TimeMesh,
-    TimeSeries,
     convolve,
     g_kernel,
     h_kernel,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernels
-    "TimeMesh", "TimeSeries", "g_kernel", "h_kernel",
+    "TimeMesh", "g_kernel", "h_kernel",
     "regularized_kernel", "monotone_regularized_kernel", "convolve", "mittag_leffler",
     # timefrac
     "l1_weights", "caputo_l1", "convex_inequality_check", "rl_extremum_sign",

@@ -274,19 +274,19 @@ def _verify_identities(config: RunConfig) -> dict:
     worst = 0.0
     for _ in range(config.trials):
         breaks = np.linspace(0, mesh.M, 8).astype(int)
-        u = kernels.TimeSeries(tau, np.interp(np.arange(mesh.M + 1), breaks, rng.uniform(-1, 1, 8)))
-        verdicts = timefrac.convex_inequality_check(u, k)
+        u = np.interp(np.arange(mesh.M + 1), breaks, rng.uniform(-1, 1, 8))
+        verdicts = timefrac.convex_inequality_check(u, k, tau)
         if not verdicts.all_ok():
             failures += 1
-        n0 = int(np.argmax(u.values))
+        n0 = int(np.argmax(u))
         if n0 >= 1:
-            val, ok = timefrac.rl_extremum_sign(u, config.alpha, n0, "max")
+            val, ok = timefrac.rl_extremum_sign(u, tau, config.alpha, n0, "max")
             if not ok:
                 failures += 1
                 worst = max(worst, -val)
-        n0 = int(np.argmin(u.values))
+        n0 = int(np.argmin(u))
         if n0 >= 1:
-            val, ok = timefrac.rl_extremum_sign(u, config.alpha, n0, "min")
+            val, ok = timefrac.rl_extremum_sign(u, tau, config.alpha, n0, "min")
             if not ok:
                 failures += 1
                 worst = max(worst, val)
@@ -387,8 +387,7 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
 
     def caputo_error(M):
         tau = 1.0 / M
-        ts = kernels.TimeSeries(tau, (tau * np.arange(M + 1)) ** 2)
-        return abs(timefrac.caputo_l1(ts, alpha, M) - exact)
+        return abs(timefrac.caputo_l1((tau * np.arange(M + 1)) ** 2, tau, alpha, M) - exact)
 
     rows += _study("caputo-l1", (256, 512, 1024, 2048), caputo_error)
 
@@ -402,9 +401,8 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
 
     def getoor_error(n):
         grid = fraclap.SpaceGrid(-1.0, 1.0, n)
-        A = fraclap.assemble_1d(grid, beta)
         x = grid.nodes()
-        Au = fraclap.apply(A, fraclap.Field(grid, (1.0 - x**2) ** beta)).values
+        Au = fraclap.assemble_1d(grid, beta).entries @ (1.0 - x**2) ** beta
         return float(np.max(np.abs(Au[np.abs(x) <= 0.5] - const)))
 
     rows += _study("getoor", (128, 256, 512), getoor_error)
@@ -460,7 +458,7 @@ def cmd_kernel_table(config: RunConfig, out_override: str | None = None) -> int:
     cols = {"t": times, "g": np.concatenate([[np.inf], kernels.g_kernel(1.0 - alpha, times[1:])])}
     for m in config.m_ladder:
         cols[f"h_m{m}"] = kernels.h_kernel(m, times)
-        cols[f"greg_m{m}"] = kernels.regularized_kernel(alpha, m, mesh).values
+        cols[f"greg_m{m}"] = kernels.regularized_kernel(alpha, m, mesh)
     _write_csv(out / "kernel_table.csv", [list(cols), *zip(*(c.tolist() for c in cols.values()))])
 
     # L1 distances ||greg_m - g|| on [0, T] via fine-mesh quadrature.
@@ -474,7 +472,7 @@ def cmd_kernel_table(config: RunConfig, out_override: str | None = None) -> int:
 def _l1_distance(alpha: float, m: int, fine: kernels.TimeMesh) -> float:
     """||greg_m - g_{1-alpha}||_L1 with the singular first cell handled exactly."""
     tau = fine.tau
-    greg = kernels.regularized_kernel(alpha, m, fine).values
+    greg = kernels.regularized_kernel(alpha, m, fine)
     t = fine.times()
     g = kernels.g_kernel(1.0 - alpha, t[1:])
     body = tau * float(np.sum(np.abs(g - greg[1:])))

@@ -37,7 +37,6 @@ __all__ = [
     "FracLapMatrix",
     "normalization_constant",
     "assemble_1d",
-    "apply",
     "bilinear_a",
 ]
 
@@ -168,13 +167,6 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     kappa = ((x - grid.a) ** pr + (grid.b - x) ** pr) / (2.0 * beta)
     np.fill_diagonal(A, c * (2.0 * w_near / h**2 + J - H0 + kappa))
     return FracLapMatrix(beta=beta, grid=grid, entries=A)
-
-
-def apply(A: FracLapMatrix, u: Field) -> Field:
-    """Matrix-vector product (-Delta)^beta u on matching grids."""
-    if A.grid != u.grid:
-        raise ValueError("matrix and field live on different grids")
-    return Field(u.grid, A.entries @ u.values)
 
 
 def bilinear_a(u: Field, v: Field, beta: float) -> float:

@@ -10,20 +10,19 @@ nonincreasing kernel.  Both are nonnegative, lie in W^{1,1}, and converge
 to ``g_{1-alpha}`` in L^1 as m grows.
 
 A Mittag-Leffler evaluator doubles as the closed-form relaxation oracle
-for the time stepper.  All operations are pure functions of immutable
-inputs.
+for the time stepper.  Samples on the mesh are plain (M+1,) arrays, with
+entry n at t_n = n*tau; no function here writes to its inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TimeMesh",
-    "TimeSeries",
     "g_kernel",
     "g_cell_integral",
     "h_kernel",
@@ -59,25 +58,6 @@ class TimeMesh:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.M + 1)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Values sampled on a uniform mesh: values[n] lives at t_n = n*tau."""
-
-    tau: float
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a nonempty 1-D sequence")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def g_kernel(gamma: float, t):
@@ -119,8 +99,8 @@ def h_kernel(m: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
-    """Sample the mollified kernel (g_{1-alpha} * h_m) on the mesh nodes.
+def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> np.ndarray:
+    """Sample the mollified kernel (g_{1-alpha} * h_m) on the mesh nodes, an (M+1,) array.
 
     The convolution integral over [0, t_n] is formed cell by cell: the cell
     touching s = 0 carries the exact power-law mass of g_{1-alpha} (the
@@ -157,11 +137,11 @@ def regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
     for g in gmass.tolist():
         S += d * S + g
         sums.append(S)
-    return TimeSeries(tau, m * math.exp(-0.5 * m * tau) * np.array(sums))
+    return m * math.exp(-0.5 * m * tau) * np.array(sums)
 
 
-def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSeries:
-    """Sample the completely monotone regularization m*E_alpha(-m*t^alpha).
+def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> np.ndarray:
+    """Sample the completely monotone regularization m*E_alpha(-m*t^alpha), an (M+1,) array.
 
     This is the resolvent-type regularization of g_{1-alpha}: finite at
     t = 0 (value m), strictly decreasing, nonnegative, in W^{1,1}, and
@@ -178,26 +158,27 @@ def monotone_regularized_kernel(alpha: float, m: int, mesh: TimeMesh) -> TimeSer
     vals[0] = float(m)
     for i in range(1, t.size):
         vals[i] = m * mittag_leffler(alpha, -m * t[i] ** alpha)
-    return TimeSeries(mesh.tau, vals)
+    return vals
 
 
-def convolve(k: TimeSeries, u: TimeSeries) -> TimeSeries:
-    """Discrete causal convolution (k*u)(t_n) by the left-rectangle rule.
+def convolve(k: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
+    """Discrete causal convolution (k*u)(t_n) of samples at t_n = n*tau, left-rectangle rule.
 
     out[n] = tau * sum_{j=0}^{n-1} k_j * u_{n-j}; the entry at n depends
     only on samples up to n and the map is linear in u.
     """
-    if len(k) != len(u):
-        raise ValueError(f"length mismatch: kernel {len(k)} vs signal {len(u)}")
-    if abs(k.tau - u.tau) > 1e-14 * max(k.tau, u.tau):
-        raise ValueError(f"mesh mismatch: tau {k.tau} vs {u.tau}")
-    tau = u.tau
-    M = len(u) - 1
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    k, u = np.asarray(k, dtype=float), np.asarray(u, dtype=float)
+    if k.ndim != 1 or u.ndim != 1 or u.size < 1:
+        raise ValueError("values must be a nonempty 1-D sequence")
+    if k.size != u.size:
+        raise ValueError(f"length mismatch: kernel {k.size} vs signal {u.size}")
+    M = u.size - 1
     out = np.zeros(M + 1)
-    if M == 0:
-        return TimeSeries(tau, out)
-    out[1:] = tau * np.convolve(k.values[:M], u.values[1 : M + 1])[:M]
-    return TimeSeries(tau, out)
+    if M > 0:
+        out[1:] = tau * np.convolve(k[:M], u[1:])[:M]
+    return out
 
 
 _ML_SERIES_TERMS = 100_000  # 17,600 terms suffice at alpha = 0.001 on [-1, 0]

@@ -100,10 +100,6 @@ class PrincipleReport:
         }
 
 
-def _data_scale(states: np.ndarray, forcing: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(states[0]))), float(np.max(np.abs(forcing))))
-
-
 def _hypotheses_report(kind: str, detail: str) -> PrincipleReport:
     return PrincipleReport(
         kind=kind,
@@ -136,10 +132,12 @@ def _extended_argmin(states: np.ndarray) -> tuple[float, tuple[int, int]]:
 def check_nonnegativity(states: np.ndarray, forcing: np.ndarray) -> PrincipleReport:
     """Nonnegativity check: u0 >= 0 and f >= 0 imply min u >= 0.
 
-    ``states`` (u^0..u^M) and ``forcing`` are (M+1, n) arrays.  The scheme
-    is monotone and its inverse has no negative entry, so the statement
-    holds exactly in floating point, with no tolerance; any negative
-    state, however small, is a failure.
+    ``states`` (u^0..u^M) is an (M+1, n) array.  f is read only through
+    its smallest and largest value, so ``forcing`` may be the (M+1, n)
+    samples or any array with the same extremes, such as the pair
+    [min f, max f].  The scheme is monotone and its inverse has no
+    negative entry, so the statement holds exactly in floating point, with
+    no tolerance; any negative state, however small, is a failure.
     """
     kind = "nonneg"
     if np.any(states[0] < 0.0):
@@ -161,8 +159,9 @@ def check_nonnegativity(states: np.ndarray, forcing: np.ndarray) -> PrincipleRep
 def check_parabolic_boundary(states: np.ndarray, forcing: np.ndarray) -> PrincipleReport:
     """Minimum-location check: with f >= 0 the global minimum sits on the parabolic boundary.
 
-    The arrays are those of check_nonnegativity.  The hypothesis f >= 0
-    makes the discrete solution a supersolution.  The check is the
+    The arrays are those of check_nonnegativity, and f is again read only
+    through its smallest and largest value.  The hypothesis f >= 0 makes
+    the discrete solution a supersolution.  The check is the
     argmin-membership form: the first attainment of the global minimum
     over the closed cylinder (ghost columns included) must be classified
     initial or lateral, never interior or terminal.  The equation is
@@ -179,7 +178,8 @@ def check_parabolic_boundary(states: np.ndarray, forcing: np.ndarray) -> Princip
     # scale of the parabolic-boundary minimum is not a violation.
     if not ok:
         pb_best = min(float(np.min(states[0])), 0.0)  # initial slice and lateral zeros
-        ok = abs(vmin - pb_best) <= 1e-12 * _data_scale(states, forcing)
+        scale = max(1.0, float(np.max(np.abs(states[0]))), float(np.max(np.abs(forcing))))
+        ok = abs(vmin - pb_best) <= 1e-12 * scale
     return PrincipleReport(
         kind=kind,
         status="pass" if ok else "fail",
@@ -221,13 +221,14 @@ def _random_bump(rng, grid: SpaceGrid) -> np.ndarray:
     return sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
 
 
-def _trial_data(kind: str, seed: int, grid: SpaceGrid):
-    """The initial values and the forcing parameters of one trial, drawn from its seed.
+def _draw_trial(kind: str, seed: int, grid: SpaceGrid, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Draw one trial from its seed: write its forcing samples into ``out`` and return its u0.
 
     The draws, in order: the u0 bump (_MODES uniforms), the forcing bump
     (_MODES uniforms), omega, phase and, for weak-nonneg, the slack.  The
-    parameters are (bump, omega, phase, slack), slack None unless drawn;
-    _sample_forcing turns them into samples.
+    forcing is max(bump(x) cos(omega t + phase), 0) + slack, the slack 0
+    unless drawn.  ``out`` has shape (len(times), n); it may be a strided
+    column of a batch.
     """
     rng = np.random.default_rng(seed)
     u0 = _random_bump(rng, grid)
@@ -236,24 +237,14 @@ def _trial_data(kind: str, seed: int, grid: SpaceGrid):
     bump = _random_bump(rng, grid)
     omega = rng.uniform(0.0, 4.0)
     phase = rng.uniform(0.0, 2 * np.pi)
+    np.multiply(bump, np.cos(omega * times[:, None] + phase), out=out)
+    np.maximum(out, 0.0, out=out)
     # weak-nonneg manufactures a supersolution of the slack-free problem by
     # adding a strictly positive forcing slack; the conclusion
     # (nonnegativity) is then checked exactly.
-    slack = float(rng.uniform(0.5, 1.5)) if kind == "weak-nonneg" else None
-    return u0, (bump, omega, phase, slack)
-
-
-def _sample_forcing(params, times: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a trial's separable forcing, max(bump(x) cos(omega t + phase), 0) + slack, into out.
-
-    ``out`` has shape (len(times), n); it may be a strided column of a batch.
-    """
-    bump, omega, phase, slack = params
-    np.multiply(bump, np.cos(omega * times[:, None] + phase), out=out)
-    np.maximum(out, 0.0, out=out)
-    if slack is not None:
-        out += slack
-    return out
+    if kind == "weak-nonneg":
+        out += float(rng.uniform(0.5, 1.5))
+    return u0
 
 
 _BATCH_BYTES = 4 * 2**20  # most bytes of a batch's forcing samples, which its states overwrite
@@ -264,36 +255,34 @@ def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds, buf: np.
 
     The first (M+1) K n values of ``buf`` hold the batch as one (M+1, K, n)
     array: trial k's forcing is drawn into its column k, and the stepper
-    writes the states over it.  Each check then reads the states column
-    and the trial's forcing, sampled again from its drawn parameters into
-    one (M+1, n) scratch: the same samples, bit for bit.
+    writes the states over it.  Before that, each trial's smallest and
+    largest forcing sample are taken, and its check reads the states
+    column and that (2,) pair, all the checks need of f.
     """
     times = mesh.times()
     u0 = np.empty((len(seeds), grid.n))
     batch = buf[: (mesh.M + 1) * len(seeds) * grid.n].reshape(mesh.M + 1, len(seeds), grid.n)
-    params = []
     for k, seed in enumerate(seeds):
-        u0[k], p = _trial_data(kind, seed, grid)
-        _sample_forcing(p, times, batch[:, k])
-        params.append(p)
+        u0[k] = _draw_trial(kind, seed, grid, times, batch[:, k])
+    extremes = np.stack([batch.min(axis=(0, 2)), batch.max(axis=(0, 2))], axis=1)
     states = step(u0, batch)
     check = check_parabolic_boundary if kind == "boundary-min" else check_nonnegativity
-    forcing = np.empty((mesh.M + 1, grid.n))
-    return [check(states[:, k], _sample_forcing(p, times, forcing)) for k, p in enumerate(params)]
+    return [check(states[:, k], extremes[k]) for k in range(len(seeds))]
 
 
 def run_trials(config: TrialConfig) -> PrincipleReport:
     """Run seeded randomized trials over the lattice; aggregate the worst case.
 
     Trials sweep the lattice round-robin, and each trial draws its u0 and
-    forcing samples as arrays from its own seed.  Each lattice point builds
-    one L1 stepper, so A is assembled and b_0 I + A inverted once per
-    point.  A point's trials are split into balanced batches whose forcing
-    samples stay under _BATCH_BYTES, each batch one call of the stepper
-    with one right-hand side per trial.  The stepper writes the states
-    over the samples, and every batch in turn uses one buffer, sized for
-    the largest.  The worst report is picked in trial order.
-    Deterministic: the same config yields the identical report.
+    forcing samples as arrays from its own seed, once.  Each lattice point
+    builds one L1 stepper, so A is assembled and b_0 I + A inverted once
+    per point.  A point's trials are split into balanced batches whose
+    forcing samples stay under _BATCH_BYTES, each batch one call of the
+    stepper with one right-hand side per trial.  The stepper writes the
+    states over the samples, and every batch in turn uses one buffer,
+    sized for the largest; each check reads its trial's forcing extremes,
+    taken before the overwrite.  The worst report is picked in trial
+    order.  Deterministic: the same config yields the identical report.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]

@@ -330,7 +330,7 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
     tau = problem.mesh.tau
     h = problem.grid.h
     alpha = problem.orders.alpha
-    greg = regularized_kernel(alpha, m, problem.mesh).values
+    greg = regularized_kernel(alpha, m, problem.mesh)
     hm = h_kernel(m, problem.mesh.times())
 
     def conv(k, u, j):  # kernels.convolve(k, u) at t_j, on every node at once

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TimeSeries, check_order, convolve
+from .kernels import check_order, convolve
 
 __all__ = [
     "ConvexVerdicts",
@@ -44,16 +44,16 @@ def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
     return tau ** (-alpha) * ((j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)) / math.gamma(2.0 - alpha)
 
 
-def caputo_l1(u: TimeSeries, alpha: float, n: int) -> float:
-    """L1-discrete d^alpha/dt^alpha (u - u_0) at t_n.
+def caputo_l1(u: np.ndarray, tau: float, alpha: float, n: int) -> float:
+    """L1-discrete d^alpha/dt^alpha (u - u_0) at t_n, for samples u_n at t_n = n*tau.
 
     sum_{j=0}^{n-1} b_j (u_{n-j} - u_{n-j-1}) with the L1 weights b_j.
     Exactly zero for constant u; n = 0 returns 0 by convention (empty sum).
     """
-    if not 0 <= n <= len(u) - 1:
-        raise ValueError(f"index n={n} outside series of length {len(u)}")
-    b = l1_weights(alpha, u.tau, max(n - 1, 0))[:n]
-    v = u.values
+    v = np.asarray(u, dtype=float)
+    if not 0 <= n <= len(v) - 1:
+        raise ValueError(f"index n={n} outside series of length {len(v)}")
+    b = l1_weights(alpha, tau, max(n - 1, 0))[:n]
     return float(np.dot(b, (v[1 : n + 1] - v[:n])[::-1]))
 
 
@@ -74,41 +74,38 @@ class ConvexVerdicts:
         return bool(np.all(self.plus_part) and np.all(self.minus_part))
 
 
-def convex_inequality_check(u: TimeSeries, k: TimeSeries) -> ConvexVerdicts:
+def convex_inequality_check(u: np.ndarray, k: np.ndarray, tau: float) -> ConvexVerdicts:
     """Check the convex-part inequalities of the fractional calculus at every index.
 
-    The difference quotient D at index n spans the last completed cell
-    [t_{n-1}, t_n] and is paired with the parts of u at its right endpoint
-    t_n; in that pairing the inequalities hold in exact arithmetic for any
-    kernel whose samples are nonnegative and nonincreasing (Abel summation
-    plus convexity of the squared positive part), so the tolerance only
-    absorbs roundoff: tol = 1e-10 * max(1, ||u||_inf^2 * ||k||_L1).
+    u and the kernel k are samples at t_n = n*tau.  The difference
+    quotient D at index n spans the last completed cell [t_{n-1}, t_n] and
+    is paired with the parts of u at its right endpoint t_n; in that
+    pairing the inequalities hold in exact arithmetic for any kernel whose
+    samples are nonnegative and nonincreasing (Abel summation plus
+    convexity of the squared positive part), so the tolerance only absorbs
+    roundoff: tol = 1e-10 * max(1, ||u||_inf^2 * ||k||_L1).
 
     The kernel samples are required to be nonnegative and nonincreasing;
     for a hump-shaped kernel (e.g. the mollified power-law family) the
     inequalities are genuinely false, so such input is rejected rather
     than reported as a violation.
     """
-    if not np.all(np.isfinite(k.values)):
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
         raise ValueError("kernel samples must be finite; use a regularized kernel")
-    if np.any(k.values < 0.0) or np.any(np.diff(k.values) > 0.0):
+    if np.any(k < 0.0) or np.any(np.diff(k) > 0.0):
         raise ValueError(
             "convexity inequalities require a nonnegative nonincreasing kernel "
             "(use monotone_regularized_kernel)"
         )
-    tau = u.tau
-    v = u.values
+    v = np.asarray(u, dtype=float)
     up = np.maximum(v, 0.0)
     um = np.maximum(-v, 0.0)
-    knorm = tau * float(np.sum(np.abs(k.values)))
+    knorm = tau * float(np.sum(np.abs(k)))
     tol = 1e-10 * max(1.0, float(np.max(np.abs(v))) ** 2 * knorm)
-
-    def ts(vals):
-        return TimeSeries(tau, vals)
-
-    cu = convolve(k, u).values
-    cp2 = convolve(k, ts(up**2)).values
-    cm2 = convolve(k, ts(um**2)).values
+    cu = convolve(k, v, tau)
+    cp2 = convolve(k, up**2, tau)
+    cm2 = convolve(k, um**2, tau)
 
     def D(x):
         return (x[1:] - x[:-1]) / tau
@@ -122,26 +119,27 @@ def convex_inequality_check(u: TimeSeries, k: TimeSeries) -> ConvexVerdicts:
     )
 
 
-def rl_extremum_sign(u: TimeSeries, alpha: float, n0: int, mode: str) -> tuple[float, bool]:
+def rl_extremum_sign(u: np.ndarray, tau: float, alpha: float, n0: int, mode: str) -> tuple[float, bool]:
     """L1-discrete derivative of u - u_0 at a global extremum index, plus verdict.
 
-    At a discrete global max over 0..M the value is >= 0 exactly (and <= 0
-    at a min); the verdict allows -tol (max mode) or +tol (min mode) of
-    roundoff, with tol = 1e-10 * tau^(-alpha) * max(1, range of u).
-    The index must satisfy n0 >= 1 and actually attain the extremum.
+    u holds samples at t_n = n*tau.  At a discrete global max over 0..M
+    the value is >= 0 exactly (and <= 0 at a min); the verdict allows -tol
+    (max mode) or +tol (min mode) of roundoff, with
+    tol = 1e-10 * tau^(-alpha) * max(1, range of u).  The index must
+    satisfy n0 >= 1 and actually attain the extremum.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     if n0 < 1:
         raise ValueError("extremum sign check needs n0 >= 1 (t must be positive)")
-    if not 0 <= n0 <= len(u) - 1:
-        raise ValueError(f"index n0={n0} outside series of length {len(u)}")
-    v = u.values
+    v = np.asarray(u, dtype=float)
+    if not 0 <= n0 <= len(v) - 1:
+        raise ValueError(f"index n0={n0} outside series of length {len(v)}")
     if mode == "max" and v[n0] < np.max(v):
         raise ValueError(f"u does not attain its maximum at n0={n0}")
     if mode == "min" and v[n0] > np.min(v):
         raise ValueError(f"u does not attain its minimum at n0={n0}")
-    value = caputo_l1(u, alpha, n0)
-    tol = 1e-10 * u.tau ** (-alpha) * max(1.0, float(np.ptp(v)))
+    value = caputo_l1(v, tau, alpha, n0)
+    tol = 1e-10 * tau ** (-alpha) * max(1.0, float(np.ptp(v)))
     ok = value >= -tol if mode == "max" else value <= tol
     return value, bool(ok)

@@ -20,7 +20,7 @@ from tsfrac.exprparse import Expr
 
 from tsfrac.fraclap import Field, bilinear_a, normalization_constant
 from tsfrac.principles import PrincipleReport, TrialConfig, check_nonnegativity, check_parabolic_boundary
-from tsfrac.kernels import TimeSeries, convolve, h_kernel, regularized_kernel
+from tsfrac.kernels import convolve, h_kernel, regularized_kernel
 from tsfrac.solver import FracOrders, ProblemSpec, Solution, solve
 
 
@@ -147,17 +147,17 @@ def weak_residual_reference(sol: Solution, psi: Field, m: int, n: int) -> float:
     tau = problem.mesh.tau
     h = problem.grid.h
     greg = regularized_kernel(problem.orders.alpha, m, problem.mesh)
-    hm = TimeSeries(tau, h_kernel(m, problem.mesh.times()))
+    hm = h_kernel(m, problem.mesh.times())
     dstates = sol.states - sol.states[0]
     nx = problem.grid.n
     ddt = np.empty(nx)
     hu_n = np.empty(nx)
     hf_n = np.empty(nx)
     for i in range(nx):
-        conv_g = convolve(greg, TimeSeries(tau, dstates[:, i])).values
+        conv_g = convolve(greg, dstates[:, i], tau)
         ddt[i] = (conv_g[n + 1] - conv_g[n]) / tau
-        hu_n[i] = convolve(hm, TimeSeries(tau, sol.states[:, i])).values[n]
-        hf_n[i] = convolve(hm, TimeSeries(tau, sol.forcing[:, i])).values[n]
+        hu_n[i] = convolve(hm, sol.states[:, i], tau)[n]
+        hf_n[i] = convolve(hm, sol.forcing[:, i], tau)[n]
     term_time = h * float(psi.values @ ddt)
     term_form = bilinear_a(Field(problem.grid, hu_n), psi, problem.orders.beta)
     term_load = h * float(psi.values @ hf_n)

@@ -18,13 +18,11 @@ from tsfrac.cli import main as cli_main
 from tsfrac.fraclap import (
     Field,
     SpaceGrid,
-    apply,
     assemble_1d,
     bilinear_a,
 )
 from tsfrac.kernels import (
     TimeMesh,
-    TimeSeries,
     g_cell_integral,
     g_kernel,
     h_kernel,
@@ -103,8 +101,8 @@ def test_criterion_04_caputo_l1_convergence_order():
     errs = []
     for M in (256, 512, 1024, 2048):
         tau = 1.0 / M
-        u = TimeSeries(tau, (tau * np.arange(M + 1)) ** 2)
-        errs.append(abs(caputo_l1(u, alpha, M) - exact))
+        u = (tau * np.arange(M + 1)) ** 2
+        errs.append(abs(caputo_l1(u, tau, alpha, M) - exact))
     orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     ok = all(2 - alpha - 0.2 <= o <= 2 - alpha + 0.2 for o in orders) and errs[-1] < 2e-3
     _line(4, ok, f"L1 orders {['%.3f' % o for o in orders]}, err(M=2048) {errs[-1]:.2e}", t0)
@@ -120,7 +118,7 @@ def test_criterion_05_getoor_oracle():
     grid = SpaceGrid(-1.0, 1.0, n)
     A = assemble_1d(grid, beta)
     x = grid.nodes()
-    Au = apply(A, Field(grid, np.sqrt(1.0 - x**2))).values
+    Au = A.entries @ np.sqrt(1.0 - x**2)
     err = float(np.max(np.abs(Au[np.abs(x) <= 0.5] - 1.0)))
     _line(5, oracle_ok and err < 1e-2, f"Getoor interior max err {err:.2e} (oracle ok: {oracle_ok})", t0)
 
@@ -167,8 +165,8 @@ def test_criterion_08_convex_inequalities(m):
     ok = True
     for _ in range(500):
         breaks = np.linspace(0, M, 8).astype(int)
-        u = TimeSeries(mesh.tau, np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8)))
-        ok &= convex_inequality_check(u, k).all_ok()
+        u = np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8))
+        ok &= convex_inequality_check(u, k, mesh.tau).all_ok()
     _line(8, ok, f"convexity inequalities, 500 trajectories, m={m}, tol 1e-10 rel", t0)
 
 
@@ -180,7 +178,7 @@ def test_criterion_09_kernel_regularization_properties():
         alpha = round(float(alpha), 1)
         for m in (1, 4, 16, 64):
             greg = regularized_kernel(alpha, m, mesh)
-            ok &= bool(np.all(greg.values >= 0.0))
+            ok &= bool(np.all(greg >= 0.0))
             ok &= bool(np.all(h_kernel(m, mesh.times()) >= 0.0))
     fine = TimeMesh(1.0, 4096)
     tf = fine.times()
@@ -189,7 +187,7 @@ def test_criterion_09_kernel_regularization_properties():
         g = g_kernel(1.0 - alpha, tf[1:])
         dists = []
         for m in (4, 16, 64, 256):
-            k = regularized_kernel(alpha, m, fine).values
+            k = regularized_kernel(alpha, m, fine)
             body = fine.tau * float(np.sum(np.abs(g - k[1:])))
             head = g_cell_integral(1.0 - alpha, 0.0, fine.tau) - 0.5 * fine.tau * k[1]
             dists.append(body + abs(head))
@@ -227,13 +225,13 @@ def test_criterion_11_extremum_sign_check():
     checked = 0
     for _ in range(200):
         spline = CubicSpline(np.linspace(0.0, 2.0, 7), rng.uniform(-1.0, 1.0, 7))
-        u = TimeSeries(tau, spline(t))
+        u = spline(t)
         alpha = float(rng.uniform(0.05, 0.95))
         for mode, pick in (("max", np.argmax), ("min", np.argmin)):
-            n0 = int(pick(u.values))
+            n0 = int(pick(u))
             if n0 == 0:
                 continue
-            _, verdict = rl_extremum_sign(u, alpha, n0, mode)
+            _, verdict = rl_extremum_sign(u, tau, alpha, n0, mode)
             ok &= verdict
             checked += 1
     _line(11, ok and checked >= 200, f"extremum sign verdicts, {checked} checks over 200 trajectories", t0)

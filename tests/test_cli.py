@@ -379,3 +379,32 @@ def test_commands_import_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+# The config block of the README, verbatim.
+README_CONFIG = {
+    "alpha": 0.5, "beta": 0.5, "a": -1.0, "b": 1.0, "n": 128, "T": 1.0, "M": 256,
+    "u0": "max(0, 1 - x^2)", "f": "0.1*(1 + cos(3.14159265358979*x))", "m": 16,
+    "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256",
+}
+
+
+def test_thread_count_changes_no_byte(tmp_path):
+    # The README scopes byte-for-byte reproducibility to one numpy/BLAS
+    # build on one CPU kernel; within that scope the BLAS thread count
+    # must not move a byte of the states or of the verdicts.
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        for argv in (["solve"], ["verify", "--suite", "all"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tsfrac", *argv, "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        files.append([(out / name).read_bytes() for name in ("solution.csv", "verify_report.json")])
+    assert files[0] == files[1]

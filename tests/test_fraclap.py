@@ -17,7 +17,6 @@ from tsfrac.fraclap import (
     Field,
     FracLapMatrix,
     SpaceGrid,
-    apply,
     assemble_1d,
     bilinear_a,
     normalization_constant,
@@ -94,8 +93,8 @@ class TestAssembly:
     def test_zero_in_zero_out(self):
         g = SpaceGrid(-1.0, 1.0, 32)
         A = assemble_1d(g, 0.4)
-        out = apply(A, Field(g, np.zeros(32)))
-        assert np.all(out.values == 0.0)
+        out = A.entries @ np.zeros(32)
+        assert np.all(out == 0.0)
 
     def test_apply_linearity(self):
         rng = np.random.default_rng(22)
@@ -103,8 +102,8 @@ class TestAssembly:
         A = assemble_1d(g, 0.6)
         u = rng.standard_normal(48)
         v = rng.standard_normal(48)
-        lhs = apply(A, Field(g, 2.0 * u - 3.0 * v)).values
-        rhs = 2.0 * apply(A, Field(g, u)).values - 3.0 * apply(A, Field(g, v)).values
+        lhs = A.entries @ (2.0 * u - 3.0 * v)
+        rhs = 2.0 * (A.entries @ u) - 3.0 * (A.entries @ v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_sign_at_interior_negative_minimum(self):
@@ -117,7 +116,7 @@ class TestAssembly:
             u = rng.standard_normal(64)
             i = int(np.argmin(u))
             if u[i] < 0.0:
-                assert apply(A, Field(g, u)).values[i] < 0.0
+                assert (A.entries @ u)[i] < 0.0
                 checked += 1
         assert checked > 400
 
@@ -149,11 +148,6 @@ class TestAssembly:
             with pytest.raises(ValueError, match="beta"):
                 bilinear_a(u, u, bad)
 
-    def test_grid_mismatch(self):
-        A = assemble_1d(SpaceGrid(-1.0, 1.0, 16), 0.5)
-        with pytest.raises(ValueError):
-            apply(A, Field(SpaceGrid(0.0, 1.0, 16), np.ones(16)))
-
 
 class TestGetoor:
     def test_oracle_confirms_flat_value(self):
@@ -169,7 +163,7 @@ class TestGetoor:
         g = SpaceGrid(-1.0, 1.0, n)
         A = assemble_1d(g, beta)
         x = g.nodes()
-        Au = apply(A, Field(g, (1.0 - x**2) ** beta)).values
+        Au = A.entries @ (1.0 - x**2) ** beta
         err = np.max(np.abs(Au[np.abs(x) <= 0.5] - getoor_constant(beta)))
         assert err < 2e-2
 
@@ -180,7 +174,7 @@ class TestGetoor:
             g = SpaceGrid(-1.0, 1.0, n)
             A = assemble_1d(g, beta)
             x = g.nodes()
-            Au = apply(A, Field(g, np.sqrt(1.0 - x**2))).values
+            Au = A.entries @ np.sqrt(1.0 - x**2)
             errs.append(np.max(np.abs(Au[np.abs(x) <= 0.5] - 1.0)))
         assert all(e0 > e1 for e0, e1 in zip(errs, errs[1:]))
 

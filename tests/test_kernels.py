@@ -23,7 +23,6 @@ from scipy.special import erfcx
 from tsfrac.fraclap import normalization_constant
 from tsfrac.kernels import (
     TimeMesh,
-    TimeSeries,
     convolve,
     g_cell_integral,
     g_kernel,
@@ -115,9 +114,9 @@ class TestHKernel:
         # (h_m * 1)(t) = 1 - exp(-m t); exercises the convolution routine
         m, M, T = 4, 4096, 1.0
         mesh = TimeMesh(T, M)
-        k = TimeSeries(mesh.tau, h_kernel(m, mesh.times()))
-        ones = TimeSeries(mesh.tau, np.ones(M + 1))
-        out = convolve(k, ones).values
+        k = h_kernel(m, mesh.times())
+        ones = np.ones(M + 1)
+        out = convolve(k, ones, mesh.tau)
         assert out[-1] == pytest.approx(ONE_MINUS_EXP_M4, abs=1e-3)
 
     def test_domain_errors(self):
@@ -137,7 +136,7 @@ class TestRegularizedKernel:
             for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
                 for m in (1, 4, 16, 64):
                     k = regularized_kernel(alpha, m, mesh)
-                    assert np.all(k.values >= 0.0), (M, alpha, m)
+                    assert np.all(k >= 0.0), (M, alpha, m)
 
     @pytest.mark.parametrize("M", [256, 8192])
     def test_recurrence_matches_convolution(self, M):
@@ -151,14 +150,14 @@ class TestRegularizedKernel:
             gmass[0] = g_cell_integral(1.0 - alpha, 0.0, mesh.tau)
             for m in (4, 16, 64, 256):
                 ref = np.convolve(gmass, h_kernel(m, mids))[:M]
-                k = regularized_kernel(alpha, m, mesh).values
+                k = regularized_kernel(alpha, m, mesh)
                 assert k[0] == 0.0
                 assert np.max(np.abs(k[1:] - ref) / ref) <= 1e-13, (alpha, m)
 
     def test_zero_at_origin(self):
         k = regularized_kernel(0.5, 8, TimeMesh(1.0, 64))
-        assert k.values[0] == 0.0
-        assert np.all(np.isfinite(k.values))
+        assert k[0] == 0.0
+        assert np.all(np.isfinite(k))
 
     def test_l1_distance_decreases_along_m(self):
         mesh = TimeMesh(1.0, 4096)
@@ -168,7 +167,7 @@ class TestRegularizedKernel:
             g = g_kernel(1.0 - alpha, t[1:])
             dists = []
             for m in (4, 16, 64, 256):
-                k = regularized_kernel(alpha, m, mesh).values
+                k = regularized_kernel(alpha, m, mesh)
                 body = tau * np.sum(np.abs(g - k[1:]))
                 head = g_cell_integral(1.0 - alpha, 0.0, tau) - 0.5 * tau * k[1]
                 dists.append(body + abs(head))
@@ -177,7 +176,7 @@ class TestRegularizedKernel:
     def test_pointwise_limit_at_large_m(self):
         # high-resolution quadrature: g_{1-alpha,m}(1) -> g_{1-alpha}(1)
         k = regularized_kernel(0.5, 1024, TimeMesh(1.0, 2**16))
-        assert k.values[-1] == pytest.approx(INV_SQRT_PI, rel=0.02)
+        assert k[-1] == pytest.approx(INV_SQRT_PI, rel=0.02)
 
     def test_zero_step_mesh_rejected(self):
         for M in (0, -1):
@@ -201,57 +200,61 @@ class TestMonotoneRegularizedKernel:
         mesh = TimeMesh(1.0, 256)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             for m in (1, 4, 16, 64, 256):
-                k = monotone_regularized_kernel(alpha, m, mesh).values
+                k = monotone_regularized_kernel(alpha, m, mesh)
                 assert np.all(k >= 0.0)
                 assert np.all(np.diff(k) < 0.0), (alpha, m)
 
     def test_value_at_origin_is_m(self):
         k = monotone_regularized_kernel(0.3, 17, TimeMesh(1.0, 32))
-        assert k.values[0] == 17.0
+        assert k[0] == 17.0
 
     def test_pointwise_limit_at_large_m(self):
         k = monotone_regularized_kernel(0.5, 1024, TimeMesh(1.0, 16))
-        assert k.values[-1] == pytest.approx(INV_SQRT_PI, rel=0.05)
+        assert k[-1] == pytest.approx(INV_SQRT_PI, rel=0.05)
 
 
 class TestConvolve:
     def test_zero_kernel(self):
-        ts = TimeSeries(0.1, np.arange(5.0))
-        z = TimeSeries(0.1, np.zeros(5))
-        assert np.all(convolve(z, ts).values == 0.0)
+        ts = np.arange(5.0)
+        z = np.zeros(5)
+        assert np.all(convolve(z, ts, 0.1) == 0.0)
 
     def test_ones_give_left_rectangle_ramp(self):
         tau, M = 0.25, 8
-        ones = TimeSeries(tau, np.ones(M + 1))
-        out = convolve(ones, ones).values
+        ones = np.ones(M + 1)
+        out = convolve(ones, ones, tau)
         np.testing.assert_allclose(out, tau * np.arange(M + 1), rtol=0, atol=1e-15)
 
     def test_causality(self):
         rng = np.random.default_rng(0)
-        k = TimeSeries(0.1, rng.standard_normal(33))
+        k = rng.standard_normal(33)
         u1 = rng.standard_normal(33)
         u2 = u1.copy()
         u2[20:] += 5.0
-        out1 = convolve(k, TimeSeries(0.1, u1)).values
-        out2 = convolve(k, TimeSeries(0.1, u2)).values
+        out1 = convolve(k, u1, 0.1)
+        out2 = convolve(k, u2, 0.1)
         np.testing.assert_array_equal(out1[:20], out2[:20])
 
     def test_linearity_to_roundoff(self):
         rng = np.random.default_rng(1)
         tau = 0.05
-        k = TimeSeries(tau, rng.standard_normal(65))
+        k = rng.standard_normal(65)
         u = rng.standard_normal(65)
         v = rng.standard_normal(65)
         a, b = 1.7, -0.3
-        lhs = convolve(k, TimeSeries(tau, a * u + b * v)).values
-        rhs = a * convolve(k, TimeSeries(tau, u)).values + b * convolve(k, TimeSeries(tau, v)).values
+        lhs = convolve(k, a * u + b * v, tau)
+        rhs = a * convolve(k, u, tau) + b * convolve(k, v, tau)
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_mismatch_errors(self):
         with pytest.raises(ValueError):
-            convolve(TimeSeries(0.1, np.ones(4)), TimeSeries(0.1, np.ones(5)))
-        with pytest.raises(ValueError):
-            convolve(TimeSeries(0.1, np.ones(4)), TimeSeries(0.2, np.ones(4)))
+            convolve(np.ones(4), np.ones(5), 0.1)
+
+    def test_input_refusals(self):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            convolve(np.ones(3), np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="nonempty 1-D sequence"):
+            convolve(np.ones(4), np.ones((2, 2)), 0.1)
 
 
 class TestApproximateIdentity:
@@ -261,11 +264,9 @@ class TestApproximateIdentity:
         t = mesh.times()
         coeffs = rng.uniform(-1, 1, 4)
         u = sum(c * np.sin((k + 1) * np.pi * t) for k, c in enumerate(coeffs))
-        ts = TimeSeries(mesh.tau, u)
         errs = []
         for m in (2, 8, 32, 128):
-            k = TimeSeries(mesh.tau, h_kernel(m, t))
-            smoothed = convolve(k, ts).values
+            smoothed = convolve(h_kernel(m, t), u, mesh.tau)
             errs.append(np.sqrt(mesh.tau * np.sum((smoothed - u) ** 2)))
         assert all(e0 > e1 for e0, e1 in zip(errs, errs[1:]))
         assert errs[-1] < 0.15 * errs[0]
@@ -358,12 +359,6 @@ class TestMittagLeffler:
 
 
 class TestDataTypes:
-    def test_time_series_validation(self):
-        with pytest.raises(ValueError):
-            TimeSeries(0.0, np.ones(3))
-        with pytest.raises(ValueError):
-            TimeSeries(0.1, np.ones((2, 2)))
-
     def test_time_mesh(self):
         mesh = TimeMesh(2.0, 4)
         assert mesh.tau == 0.5

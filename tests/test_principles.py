@@ -294,6 +294,32 @@ class TestBatchedTrials:
             assert np.array_equal(u0, u0_ref)
             assert np.array_equal(forcing, problem.forcing_samples())
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_check_reads_its_own_trials_extremes(self, kind, monkeypatch):
+        # Every trial forcing here is >= 0, so a check handed another
+        # trial's forcing would still pass: compare the forcing argument of
+        # each check call with [min, max] of that trial's oracle samples.
+        # 31 trials on two points run as batches of 8, 8 and 15.
+        seen = []
+        for name in ("check_nonnegativity", "check_parabolic_boundary"):
+            def recording(states, forcing, original=getattr(principles, name)):
+                seen.append(np.array(forcing))
+                return original(states, forcing)
+
+            monkeypatch.setattr(principles, name, recording)
+        config = TrialConfig(kind=kind, trials=31, seed=2, alphas=(0.3, 0.7), betas=(0.5,),
+                             grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256))
+        run_trials(config)
+        seeds = np.random.default_rng(2).integers(0, 2**31 - 1, 31)
+        order = [i for p in range(2) for i in range(p, 31, 2)]
+        assert len(seen) == len(order)
+        grid = config.grid
+        for i, forcing in zip(order, seen):
+            u0, f = trial_closure(kind, int(seeds[i]), grid)
+            problem = ProblemSpec(FracOrders(0.3, 0.5), grid, config.mesh, Field(grid, u0), f)
+            samples = problem.forcing_samples()
+            assert np.array_equal(forcing, [samples.min(), samples.max()]), i
+
     def test_batch_widths(self, monkeypatch):
         # 8 (M+1) n bytes per trial against a 4 MiB cap: 15 trials fit at
         # n = 128, M = 256, so 20 trials on one point run as 10, 10 ...

@@ -17,7 +17,6 @@ from scipy.interpolate import CubicSpline
 
 from tsfrac.kernels import (
     TimeMesh,
-    TimeSeries,
     convolve,
     monotone_regularized_kernel,
     regularized_kernel,
@@ -47,9 +46,9 @@ class ConvexProbe:
 
 
 def fundamental_identity_residual(
-    u: TimeSeries, probe: ConvexProbe, k: TimeSeries, n: int
+    u: np.ndarray, probe: ConvexProbe, k: np.ndarray, tau: float, n: int
 ) -> float:
-    """LHS - RHS of the convolution-derivative product identity at t_n.
+    """LHS - RHS of the convolution-derivative product identity at t_n = n*tau.
 
     Discrete conventions, fixed once: left-rectangle causal convolutions,
     forward difference for d/dt (so samples up to n+1 are required),
@@ -63,30 +62,26 @@ def fundamental_identity_residual(
     """
     if len(k) != len(u):
         raise ValueError(f"length mismatch: kernel {len(k)} vs signal {len(u)}")
-    if abs(k.tau - u.tau) > 1e-14 * max(k.tau, u.tau):
-        raise ValueError(f"mesh mismatch: tau {k.tau} vs {u.tau}")
-    if not np.all(np.isfinite(k.values)):
+    if not np.all(np.isfinite(k)):
         raise ValueError("kernel samples must be finite; use a regularized kernel")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n + 1 > len(u) - 1:
         raise ValueError(f"forward difference at n={n} needs sample n+1; series too short")
-    tau = u.tau
-    v = u.values
-    Hu = np.asarray(probe.H(v), dtype=float)
-    conv_u = convolve(k, u).values
-    conv_H = convolve(k, TimeSeries(tau, Hu)).values
-    un = v[n]
+    Hu = np.asarray(probe.H(u), dtype=float)
+    conv_u = convolve(k, u, tau)
+    conv_H = convolve(k, Hu, tau)
+    un = u[n]
     dHn = float(probe.dH(un))
     Hn = float(probe.H(un))
 
     lhs = dHn * (conv_u[n + 1] - conv_u[n]) / tau
     term_conv = (conv_H[n + 1] - conv_H[n]) / tau
-    term_jump = (-Hn + dHn * un) * k.values[n]
+    term_jump = (-Hn + dHn * un) * k[n]
     # Remainder integral over s in [0, t_n]; s_j = j*tau pairs with u_{n-j}.
-    rev = v[n::-1]
+    rev = u[n::-1]
     bracket = np.asarray(probe.H(rev), dtype=float) - Hn - dHn * (rev - un)
-    dk = np.gradient(k.values, tau)
+    dk = np.gradient(k, tau)
     term_rem = float(np.trapezoid(bracket * (-dk[: n + 1]), dx=tau))
     return float(lhs - (term_conv + term_jump + term_rem))
 
@@ -94,10 +89,9 @@ def fundamental_identity_residual(
 QUAD_PROBE = ConvexProbe(H=lambda y: 0.5 * y**2, dH=lambda y: y)
 
 
-def gl_derivative(u, alpha, n):
+def gl_derivative(u, tau, alpha, n):
     """Grunwald-Letnikov d^alpha/dt^alpha (u - u_0) at t_n, the first-order oracle."""
-    v = u.values
-    return float(u.tau**-alpha * gl_weights(alpha, n) @ (v[n::-1] - v[0]))
+    return float(tau**-alpha * gl_weights(alpha, n) @ (u[n::-1] - u[0]))
 
 
 class TestGLWeights:
@@ -153,25 +147,25 @@ class TestL1Weights:
 def _sample(fn, T, M, extra=0):
     tau = T / M
     t = tau * np.arange(M + 1 + extra)
-    return TimeSeries(tau, fn(t))
+    return fn(t), tau
 
 
 class TestCaputoApply:
     def test_constant_is_annihilated(self):
-        u = TimeSeries(0.01, np.full(101, 3.7))
+        u, tau = np.full(101, 3.7), 0.01
         for derivative in (caputo_l1, gl_derivative):
             for n in (0, 1, 50, 100):
-                assert derivative(u, 0.5, n) == pytest.approx(0.0, abs=1e-10)
+                assert derivative(u, tau, 0.5, n) == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_profile_closed_form(self):
         M = 4096
-        u = _sample(lambda t: t, 1.0, M)
-        assert caputo_l1(u, 0.5, M) == pytest.approx(D_HALF_T_AT_1, abs=1e-3)
+        u, tau = _sample(lambda t: t, 1.0, M)
+        assert caputo_l1(u, tau, 0.5, M) == pytest.approx(D_HALF_T_AT_1, abs=1e-3)
 
     def test_quadratic_profile_closed_form(self):
         M = 4096
-        u = _sample(lambda t: t**2, 1.0, M)
-        assert caputo_l1(u, 0.5, M) == pytest.approx(D_HALF_T2_AT_1, abs=2e-3)
+        u, tau = _sample(lambda t: t**2, 1.0, M)
+        assert caputo_l1(u, tau, 0.5, M) == pytest.approx(D_HALF_T2_AT_1, abs=2e-3)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -181,17 +175,15 @@ class TestCaputoApply:
         v = rng.standard_normal(M + 1)
         a, b = 2.5, -1.2
         for derivative in (caputo_l1, gl_derivative):
-            lhs = derivative(TimeSeries(tau, a * u + b * v), 0.4, M)
-            rhs = a * derivative(TimeSeries(tau, u), 0.4, M) + b * derivative(
-                TimeSeries(tau, v), 0.4, M
-            )
+            lhs = derivative(a * u + b * v, tau, 0.4, M)
+            rhs = a * derivative(u, tau, 0.4, M) + b * derivative(v, tau, 0.4, M)
             assert lhs == pytest.approx(rhs, abs=1e-9 * tau ** (-0.4))
 
     def test_gl_l1_agreement_on_smooth_profile(self):
         M = 4096
-        u = _sample(lambda t: t**2, 1.0, M)
+        u, tau = _sample(lambda t: t**2, 1.0, M)
         worst = max(
-            abs(caputo_l1(u, 0.5, n) - gl_derivative(u, 0.5, n))
+            abs(caputo_l1(u, tau, 0.5, n) - gl_derivative(u, tau, 0.5, n))
             for n in range(64, M + 1, 64)
         )
         assert worst < 5e-3
@@ -199,22 +191,22 @@ class TestCaputoApply:
     def test_l1_convergence_order(self):
         errs = []
         for M in (256, 512, 1024, 2048):
-            u = _sample(lambda t: t**2, 1.0, M)
-            errs.append(abs(caputo_l1(u, 0.5, M) - D_HALF_T2_AT_1))
+            u, tau = _sample(lambda t: t**2, 1.0, M)
+            errs.append(abs(caputo_l1(u, tau, 0.5, M) - D_HALF_T2_AT_1))
         orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
         for o in orders:
             assert 2 - 0.5 - 0.2 <= o <= 2 - 0.5 + 0.2
 
     def test_index_and_mesh_errors(self):
-        u = TimeSeries(0.1, np.ones(5))
+        u, tau = np.ones(5), 0.1
         with pytest.raises(ValueError):
-            caputo_l1(u, 0.5, 7)
+            caputo_l1(u, tau, 0.5, 7)
         with pytest.raises(ValueError):
-            caputo_l1(u, 0.5, -1)
+            caputo_l1(u, tau, 0.5, -1)
         for bad in (0.0, 1.0):
             for n in (0, 2):
                 with pytest.raises(ValueError, match="alpha"):
-                    caputo_l1(u, bad, n)
+                    caputo_l1(u, tau, bad, n)
 
 
 class TestFundamentalIdentity:
@@ -223,17 +215,17 @@ class TestFundamentalIdentity:
         M = 128
         mesh = TimeMesh(1.0, M)
         k = regularized_kernel(0.5, 8, mesh)
-        u = TimeSeries(mesh.tau, rng.standard_normal(M + 1))
+        u = rng.standard_normal(M + 1)
         probe = ConvexProbe(H=lambda y: y, dH=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-        r = fundamental_identity_residual(u, probe, k, 64)
+        r = fundamental_identity_residual(u, probe, k, mesh.tau, 64)
         assert r == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_signal_cancels_exactly(self):
         M = 128
         mesh = TimeMesh(1.0, M)
         k = regularized_kernel(0.5, 8, mesh)
-        u = TimeSeries(mesh.tau, np.full(M + 1, 2.5))
-        r = fundamental_identity_residual(u, QUAD_PROBE, k, 100)
+        u = np.full(M + 1, 2.5)
+        r = fundamental_identity_residual(u, QUAD_PROBE, k, mesh.tau, 100)
         assert r == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_shrinks_under_refinement(self):
@@ -244,8 +236,8 @@ class TestFundamentalIdentity:
             tau = 1.0 / M
             mesh = TimeMesh((M + 1) * tau, M + 1)
             k = regularized_kernel(0.5, 16, mesh)
-            u = TimeSeries(tau, tau * np.arange(M + 2))
-            resids.append(abs(fundamental_identity_residual(u, QUAD_PROBE, k, M)))
+            u = tau * np.arange(M + 2)
+            resids.append(abs(fundamental_identity_residual(u, QUAD_PROBE, k, tau, M)))
         for r0, r1 in zip(resids, resids[1:]):
             assert r1 <= r0 / 1.5
 
@@ -255,24 +247,22 @@ class TestFundamentalIdentity:
         bad = np.ones(M + 1)
         bad[0] = np.inf
         with pytest.raises(ValueError):
-            fundamental_identity_residual(
-                TimeSeries(tau, np.ones(M + 1)), QUAD_PROBE, TimeSeries(tau, bad), 4
-            )
+            fundamental_identity_residual(np.ones(M + 1), QUAD_PROBE, bad, tau, 4)
 
 
 class TestConvexInequalities:
     def test_nonnegative_signal_trivial_minus_part(self):
         mesh = TimeMesh(1.0, 64)
         k = monotone_regularized_kernel(0.5, 8, mesh)
-        u = TimeSeries(mesh.tau, np.linspace(0.0, 2.0, 65) ** 2)
-        v = convex_inequality_check(u, k)
+        u = np.linspace(0.0, 2.0, 65) ** 2
+        v = convex_inequality_check(u, k, mesh.tau)
         assert np.all(v.minus_part)
 
     def test_nonpositive_signal_trivial_plus_part(self):
         mesh = TimeMesh(1.0, 64)
         k = monotone_regularized_kernel(0.5, 8, mesh)
-        u = TimeSeries(mesh.tau, -np.linspace(0.0, 2.0, 65))
-        v = convex_inequality_check(u, k)
+        u = -np.linspace(0.0, 2.0, 65)
+        v = convex_inequality_check(u, k, mesh.tau)
         assert np.all(v.plus_part)
 
     @pytest.mark.parametrize("m", [4, 64])
@@ -283,8 +273,8 @@ class TestConvexInequalities:
         rng = np.random.default_rng(100 + m)
         for _ in range(500):
             breaks = np.linspace(0, M, 8).astype(int)
-            u = TimeSeries(mesh.tau, np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8)))
-            v = convex_inequality_check(u, k)
+            u = np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8))
+            v = convex_inequality_check(u, k, mesh.tau)
             assert v.all_ok()
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
@@ -299,8 +289,8 @@ class TestConvexInequalities:
         for _ in range(10):
             breaks = np.linspace(0, M, 8).astype(int)
             vals = np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8))
-            v = convex_inequality_check(TimeSeries(mesh.tau, vals), k)
-            w = convex_inequality_check(TimeSeries(mesh.tau, -vals), k)
+            v = convex_inequality_check(vals, k, mesh.tau)
+            w = convex_inequality_check(-vals, k, mesh.tau)
             assert np.array_equal(w.plus_part, v.minus_part)
             assert np.array_equal(w.minus_part, v.plus_part)
 
@@ -308,23 +298,23 @@ class TestConvexInequalities:
         # the mollified family rises from 0, which breaks the inequalities
         mesh = TimeMesh(1.0, 64)
         k = regularized_kernel(0.5, 8, mesh)
-        u = TimeSeries(mesh.tau, np.ones(65))
+        u = np.ones(65)
         with pytest.raises(ValueError):
-            convex_inequality_check(u, k)
+            convex_inequality_check(u, k, mesh.tau)
 
 
 class TestExtremumSign:
     def test_parabola_max_nonnegative(self):
         M = 256
-        u = _sample(lambda t: t * (2.0 - t), 2.0, M)
-        n0 = int(np.argmax(u.values))
-        val, ok = rl_extremum_sign(u, 0.5, n0, "max")
+        u, tau = _sample(lambda t: t * (2.0 - t), 2.0, M)
+        n0 = int(np.argmax(u))
+        val, ok = rl_extremum_sign(u, tau, 0.5, n0, "max")
         assert ok and val >= 0.0
 
     def test_constant_passes_both_modes(self):
-        u = TimeSeries(0.01, np.full(65, 1.23))
+        u, tau = np.full(65, 1.23), 0.01
         for mode in ("max", "min"):
-            val, ok = rl_extremum_sign(u, 0.3, 10, mode)
+            val, ok = rl_extremum_sign(u, tau, 0.3, 10, mode)
             assert ok
             assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -332,9 +322,9 @@ class TestExtremumSign:
         # u = (t-1)^2 on [0,2]: the order-1/2 derivative of u - u(0) at the
         # the minimum t = 1 is 2/Gamma(2.5) - 2/Gamma(1.5) < 0
         M = 4096
-        u = _sample(lambda t: (t - 1.0) ** 2, 2.0, M)
-        n0 = int(np.argmin(u.values))
-        val, ok = rl_extremum_sign(u, 0.5, n0, "min")
+        u, tau = _sample(lambda t: (t - 1.0) ** 2, 2.0, M)
+        n0 = int(np.argmin(u))
+        val, ok = rl_extremum_sign(u, tau, 0.5, n0, "min")
         assert ok
         assert val == pytest.approx(D_HALF_T2M2T_AT_1, abs=5e-3)
 
@@ -347,24 +337,24 @@ class TestExtremumSign:
         for _ in range(200):
             knots = np.linspace(0.0, 2.0, 7)
             spline = CubicSpline(knots, rng.uniform(-1.0, 1.0, 7))
-            u = TimeSeries(tau, spline(t))
+            u = spline(t)
             alpha = rng.uniform(0.05, 0.95)
             for mode, pick in (("max", np.argmax), ("min", np.argmin)):
-                n0 = int(pick(u.values))
+                n0 = int(pick(u))
                 if n0 == 0:
                     continue
-                _, ok = rl_extremum_sign(u, alpha, n0, mode)
+                _, ok = rl_extremum_sign(u, tau, alpha, n0, mode)
                 assert ok
                 passes += 1
         assert passes > 100  # most draws have an interior or terminal extremum
 
     def test_precondition_errors(self):
-        u = _sample(lambda t: t, 1.0, 16)
+        u, tau = _sample(lambda t: t, 1.0, 16)
         with pytest.raises(ValueError):
-            rl_extremum_sign(u, 0.5, 0, "max")  # t0 must be positive
+            rl_extremum_sign(u, tau, 0.5, 0, "max")  # t0 must be positive
         with pytest.raises(ValueError):
-            rl_extremum_sign(u, 0.5, 3, "max")  # max is at the last index
+            rl_extremum_sign(u, tau, 0.5, 3, "max")  # max is at the last index
         with pytest.raises(ValueError):
-            rl_extremum_sign(u, 0.5, 16, "middle")
+            rl_extremum_sign(u, tau, 0.5, 16, "middle")
         with pytest.raises(ValueError, match="alpha"):
-            rl_extremum_sign(u, 1.0, 16, "max")
+            rl_extremum_sign(u, tau, 1.0, 16, "max")
