@@ -290,7 +290,7 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     grid, mesh = config.grid, config.mesh
     width = max(1, _BATCH_BYTES // (8 * (mesh.M + 1) * grid.n))
     most = len(range(0, config.trials, len(lattice)))  # every point has most or most - 1 trials
-    largest = max(-(-g // -(-g // width)) for g in (most, most - 1) if g > 0)  # first batch of each
+    largest = min(width, most)  # no batch is longer than either
     buf = np.empty((mesh.M + 1) * largest * grid.n)
 
     reports = {}  # trial index -> report

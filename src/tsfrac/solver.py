@@ -15,30 +15,33 @@ checks.
 
 The stepper writes the states over the forcing samples it is given, as
 LAPACK's solvers write X over B: row n holds f^n until step n writes u^n
-there, and row 0 becomes u^0 (f^0 enters no step).  The history sum is
-taken in blocks of _BLOCK steps (Hairer, Lubich & Schlichte, SIAM J. Sci.
-Stat. Comput. 6:532, 1985, with dense products in place of FFTs).  Before
-the steps s .. s+_BLOCK-1 of a block run, their rows, which hold the
-forcing, get the rest of their right-hand sides: first the u^0 terms, then
-the part of their sums over the states u^1 .. u^{s-1} of all finished
-blocks, one matrix-matrix product per finished block.  Inside the block
-the same splitting runs on the dyadic schedule: once step n, the q-th of
-its block, has its state, the L = q & -q states u^{n-L+1} .. u^n are
-pushed into the right-hand sides of the next L steps of the block, one
-matrix-matrix product.  Steps j < n of one block meet in exactly one push
-(the highest bit where j - s and n - s differ picks it), after step j and
-before step n.  A push is np.dot, not @: half of the pushes are 1 x 1
-products, where np.dot's call costs half of matmul's.  Only the order of
-summation differs from a step-by-step sum.
+there, and row 0 becomes u^0 (f^0 enters no step).  Before the first
+step every row gets its u^0 term.  The history sum then runs on one
+dyadic schedule: once step n has its state, the L = n & -n states
+u^{n-L+1} .. u^n are pushed into the right-hand sides of the next L steps
+(those up to M) by matrix-matrix products.  Steps j < t meet in exactly
+one push, after step j and before step t: with 2^b the highest bit in
+which j - 1 and t - 1 differ, it is the push of L = 2^b states after step
+t - 1 with its bits below b cleared.  So every row gets its history terms
+oldest first.  A push of more than _BLOCK states runs as products of
+_BLOCK states each, oldest first, and one Toeplitz view _BLOCK weights
+wide serves every product.  These full products are the finished-block
+products of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput.
+6:532, 1985), with dense products in place of FFTs.  Shorter pieces are
+np.dot and full ones @: @ on every piece was slower (the K = 8, n = 16,
+M = 256 call took 3.9 ms in place of 3.5), and np.dot copies the reversed
+rows x _BLOCK Toeplitz operand of a full piece, which raised the traced
+peak of the K = 1, n = 128, M = 512 call to 396 kB, past the 328 kB the
+tests allow.  Only the order of summation differs from a step-by-step sum.
 
 The stepper that l1_stepper builds advances K problems that share alpha,
 beta, the grid and the mesh at once; solve is its one-column call.  The K
 right-hand sides of a step form one contiguous row of K n values, so
 the history sums above are the same products on K times wider operands,
 and column k is the one-column result up to the summation order BLAS
-picks for the wider operands.  The u^0 terms, the finished-block products
-and the pushes are split into pieces of at most _BLOCK/2 / K rows, so no
-product holds more than _BLOCK/2 rows of n values, for any K and M.
+picks for the wider operands.  The u^0 terms and the pushes are split
+into pieces of at most _BLOCK/2 / K rows, so no product holds more than
+_BLOCK/2 rows of n values, for any K and M.
 
 Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor:
 one general matrix-matrix product of the K rows with G, for every K.
@@ -106,7 +109,7 @@ __all__ = [
     "solution_metadata",
 ]
 
-_BLOCK = 256  # steps per block of the history sum; M <= _BLOCK is one block
+_BLOCK = 256  # states per history product; longer pushes run as several
 
 
 @dataclass(frozen=True)
@@ -195,11 +198,9 @@ def l1_stepper(
     with the states of the K problems, which it returns: the same array.
     The samples must be float64 and their rows of K n values views, not
     copies (a C-contiguous array, or a column slice of one, qualifies).
-    Its steps run in blocks of _BLOCK: a block starting at step s first
-    adds to the forcing in its rows the u^0 terms and the history over
-    u^1 .. u^{s-1}, by matrix-matrix products with each finished block
-    of states; each step then multiplies its K rows by G and pushes its
-    dyadic sub-block of states into the rows of the next steps.
+    It first adds the u^0 terms to the forcing rows; each step then
+    multiplies its K rows by G and pushes its dyadic sub-block of states
+    into the rows of the next steps, _BLOCK states per product at most.
     Nonnegative data give exactly nonnegative states.
 
     That rests on b_0 > 0, b_{j-1} - b_j >= 0 (j = 1..M) and b_M >= 0,
@@ -249,26 +250,21 @@ def l1_stepper(
         rows = max(1, _BLOCK // 2 // K)  # rows of K n values per temporary
         # An overflow shows as a non-finite state and is reported after the loop.
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(1, M + 1, _BLOCK):
-                e = min(s + _BLOCK, M + 1)
-                # Row n of the block holds f^n.  It first gets the u^0 term of
-                # step n, then its sum over the states u^1 .. u^{s-1} of the
-                # finished blocks, by products with each block u^c .. u^{c+_BLOCK-1}.
-                for c0 in range(s, e, rows):
-                    c1 = min(c0 + rows, e)
-                    flat[c0:c1] += b[c0 - 1 : c1 - 1, None] * flat[0]
-                    for c in range(1, s, _BLOCK):
-                        flat[c0:c1] += toeplitz[c0 - c - _BLOCK : c1 - c - _BLOCK] @ flat[c : c + _BLOCK]
-                for n in range(s, e):
-                    np.matmul(states[n], G, out=step)
-                    states[n] = step
-                    q = n - s + 1  # step n is the q-th of its block
-                    L = q & -q
-                    r = min(n + 1 + L, e)  # push u^{n-L+1} .. u^n into rows n+1 .. r-1
-                    for c0 in range(n + 1, r, rows):
-                        c1 = min(c0 + rows, r)
-                        flat[c0:c1] += np.dot(toeplitz[c0 - n - 1 : c1 - n - 1, _BLOCK - L :],
-                                              flat[n + 1 - L : n + 1])
+            # Row n holds f^n; it first gets the u^0 term of step n.
+            for c0 in range(1, M + 1, rows):
+                c1 = min(c0 + rows, M + 1)
+                flat[c0:c1] += b[c0 - 1 : c1 - 1, None] * flat[0]
+            for n in range(1, M + 1):
+                np.matmul(states[n], G, out=step)
+                states[n] = step
+                L = n & -n
+                r = min(n + 1 + L, M + 1)  # push u^{n-L+1} .. u^n into rows n+1 .. r-1
+                P = min(L, _BLOCK)  # states per product, oldest piece first
+                dot = np.dot if P < _BLOCK else np.matmul
+                for c0 in range(n + 1, r, rows):
+                    c1 = min(c0 + rows, r)
+                    for j in range(n + 1 - L, n + 1, P):
+                        flat[c0:c1] += dot(toeplitz[c0 - j - P : c1 - j - P, _BLOCK - P :], flat[j : j + P])
         if not np.isfinite(flat).all():
             k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"states overflow: u^{k} is not finite")

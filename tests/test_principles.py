@@ -8,7 +8,11 @@ boundary check's near-tie rule is roundoff-sized.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,8 +384,9 @@ class TestBatchedTrials:
             assert peak <= 2_960_000, (kind, peak)
 
     def test_memory_peak(self):
-        # Two batches of 10 share one buffer of about 2.6 MB, which holds
-        # the forcing samples until the states overwrite them.
+        # Two batches of 10 share one buffer of 15 trials (3.9 MB, the most
+        # that fit under _BATCH_BYTES), whose first 2.6 MB hold the forcing
+        # samples until the states overwrite them.
         config = one_point()
         tracemalloc.start()
         try:
@@ -390,3 +395,52 @@ class TestBatchedTrials:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+# OPENBLAS_CORETYPE kernels and the CPU feature each needs, as numpy names it.
+CORETYPES = (("Prescott", "SSE3"), ("Haswell", "AVX2"), ("SkylakeX", "AVX512_SKX"))
+
+KERNEL_RUN = """
+import json
+from tsfrac.fraclap import SpaceGrid
+from tsfrac.kernels import TimeMesh
+from tsfrac.principles import TrialConfig, run_trials
+lattice = (0.3, 0.5, 0.7, 0.9)
+configs = [
+    TrialConfig(kind="nonneg", trials=200, seed=101, alphas=lattice, betas=lattice,
+                grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256)),
+    TrialConfig(kind="nonneg", trials=48, seed=7, alphas=(0.3, 0.9), betas=(0.5,),
+                grid=SpaceGrid(-1.0, 1.0, 96), mesh=TimeMesh(1.0, 700)),
+]
+print(json.dumps([run_trials(c).to_json_dict() for c in configs]))
+"""
+
+
+def test_exact_positivity_under_every_blas_kernel():
+    # Each OpenBLAS kernel sums the products in its own order, so the states
+    # move in the last bits between kernels.  Exact positivity must not: it
+    # rests on signs, not on the order.  Criterion 01's trials and a run
+    # whose pushes span 512 states (M = 700, six columns per call) report a
+    # violation of exactly 0.0, and the same report, under each kernel.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"BLAS {blas.get('name')!r} is not a DYNAMIC_ARCH OpenBLAS: its kernel cannot be chosen")
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    kernels = [name for name, feature in CORETYPES if __cpu_features__.get(feature)]
+    if not kernels:
+        pytest.skip(f"the CPU runs none of the x86 kernels {[name for name, _ in CORETYPES]}")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports, cores = {}, set()
+    for name in kernels:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=name, OPENBLAS_VERBOSE="2")
+        proc = subprocess.run([sys.executable, "-c", KERNEL_RUN], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        # OpenBLAS names the kernel it loaded (Prescott's is Katmai's).
+        cores.update(line for line in proc.stderr.splitlines() if line.startswith("Core: "))
+        reports[name] = json.loads(proc.stdout)
+        assert [r["violation"] for r in reports[name]] == [0.0, 0.0], name
+        assert [r["status"] for r in reports[name]] == ["pass", "pass"], name
+    assert len(cores) == len(kernels), cores
+    assert all(r == reports[kernels[0]] for r in reports.values()), list(reports)

@@ -172,7 +172,7 @@ class TestStepAndSolve:
 
 def l1_reference(problem, A):
     """Step-by-step L1 stepping, one history GEMV per step and the
-    library's inverse and step product: the oracle for the blocked history
+    library's inverse and step product: the oracle for the dyadic history
     sum of ``solve``."""
     M, nx = problem.mesh.M, problem.grid.n
     f = problem.forcing_samples()
@@ -229,9 +229,9 @@ def l1_residual(sol, A, k):
 
 
 class TestBlockedHistorySum:
-    """``solve`` sums the history in blocks of 256 steps, and inside a block
-    by dyadic pushes of finished states; only the order of summation
-    differs from the per-step sum."""
+    """``solve`` sums the history by dyadic pushes of finished states, a
+    push of more than 256 states as products of 256 each; only the order
+    of summation differs from the per-step sum."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
     @pytest.mark.parametrize("M", [255, 256, 257, 300, 512, 513, 1000])
@@ -251,7 +251,7 @@ class TestBlockedHistorySum:
         assert got.min() >= 0.0
 
     @pytest.mark.parametrize("K", [1, 7])
-    @pytest.mark.parametrize("M", [1, 2, 3, 5, 127, 128, 129, 255, 256, 257, 300, 600])
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 127, 128, 129, 255, 256, 257, 300, 600, 1025])
     def test_l1_equation_at_every_step(self, M, K):
         # A pair (j, n) that the push schedule misses or counts twice breaks
         # the equation at the first step n that needs it.
@@ -275,7 +275,7 @@ class TestBlockedHistorySum:
 
     def test_long_horizon_positivity(self):
         # Compact u0, f = 0, 8192 steps: the last state sums 8191 history
-        # terms, most of them through the blocked products, and must still be
+        # terms, most of them through 256-state products, and must still be
         # exactly nonnegative with no clamp anywhere.
         problem = bump_problem(n=32, M=8192, u0_fn=lambda x: np.maximum(0.0, 1.0 - 16.0 * x**2))
         A = assemble_1d(problem.grid, problem.orders.beta)
@@ -430,11 +430,13 @@ class TestStatesOverForcing:
 
     @pytest.mark.parametrize("K", [1, 7])
     def test_temporaries_past_one_block(self, K):
-        # At M = 512 the second block adds products with the first.  They
-        # run in pieces of _BLOCK/2 / K rows, as the pushes do, so the peak
-        # is the (M+1) K n-byte mask of the finite check, or one product of
-        # at most _BLOCK/2 rows of n values and the operands copied for it.
-        # One product over the whole block peaked at 1.8 MB at K = 7.
+        # At M = 512 step 256 pushes its 256 states into the next 256 rows.
+        # Every push runs in pieces of _BLOCK/2 / K rows, so the peak is the
+        # (M+1) K n-byte mask of the finite check, or one product of at most
+        # _BLOCK/2 rows of n values and the operands copied for it.  One
+        # product over all 256 rows peaked at 1.8 MB at K = 7, and np.dot
+        # in place of @ for the 256-state products, which copies the
+        # reversed Toeplitz operand, at 396 kB at K = 1.
         n, M = 128, 512
         grid, mesh, u0, F = TestManyColumns.data(n, K, M, seed=16)
         step = l1_stepper(0.4, 0.6, grid, mesh)
