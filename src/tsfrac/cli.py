@@ -40,9 +40,9 @@ _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,6
 # room to spare), plus the sampled forcing and the copy of it that the
 # stepper overwrites with the states ((M+1) x n each).  verify's trials run
 # in batches of at most 4 MiB of forcing samples, or one trial at a time,
-# in one buffer whose samples the states overwrite, and keep one report and
-# one seed per trial (888 bytes each, measured at n = M = 1), estimated at
-# 1 KiB per trial.
+# each in an array of its own whose samples the states overwrite (one batch
+# is alive at a time), and keep one report and one seed per trial (888
+# bytes each, measured at n = M = 1), estimated at 1 KiB per trial.
 _MEMORY_BUDGET = 2 * 2**30
 _TRIAL_BYTES = 2**10
 _MAX_INT = int(sys.float_info.max)  # largest m that is still a finite float

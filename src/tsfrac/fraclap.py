@@ -3,17 +3,19 @@
 The operator (-Delta)^beta u(x) = c * PV int (u(x)-u(y)) |x-y|^(-1-2 beta) dy
 sees u on the whole line, so the Dirichlet condition is an exterior one:
 u = 0 outside (a, b).  The discretization on a uniform interior grid is
-assembled from three exactly integrated pieces:
+assembled from exactly integrated pieces, each a function of the node
+distance d = |i - j| and h alone, so the matrix is symmetric Toeplitz:
 
 * near field |y - x_i| < h/2: principal value of the local quadratic
   model, a second-difference term with weight int_0^{h/2} r^(1-2 beta) dr;
 * far field inside the domain: the kernel integrated exactly per cell
-  against the piecewise-linear interpolant (hat-function weights, which
-  depend only on |i - j|, so off-diagonals are Toeplitz and the matrix is
-  symmetric by construction);
-* exterior tail: closed-form integral of the kernel over y outside (a, b),
-  a positive diagonal contribution (truncating it would break the row-sum
-  positivity that drives every maximum principle downstream).
+  against the piecewise-linear interpolant (hat-function weights H_d);
+* the u_i term of the far field: beyond h/2, every node sees the whole
+  line's kernel mass, in the domain or in the exterior where u = 0, so the
+  diagonal holds the closed form (h/2)^(-2 beta) / beta minus the node's
+  own hat weight H_0.  The exterior's share of that mass keeps the row
+  sums positive (truncating it would break the row-sum positivity that
+  drives every maximum principle downstream).
 
 The result is a symmetric positive-definite M-matrix: positive diagonal,
 nonpositive off-diagonals, strictly positive row sums.  It is the one
@@ -81,18 +83,9 @@ class Field:
 
 @dataclass(frozen=True)
 class FracLapMatrix:
-    """Assembled discrete (-Delta)^beta: dense symmetric M-matrix plus metadata."""
+    """Assembled discrete (-Delta)^beta: a dense symmetric M-matrix."""
 
-    beta: float
-    grid: SpaceGrid
     entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=float)
-        n = self.grid.n
-        if ent.shape != (n, n):
-            raise ValueError(f"entries shape {ent.shape} does not match grid n={n}")
-        object.__setattr__(self, "entries", ent)
 
 
 def normalization_constant(beta: float) -> float:
@@ -118,12 +111,14 @@ def _pow_integral(r0, r1, p: float):
 def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     """Assemble the dense discrete (-Delta)^beta on the grid.
 
-    Off-diagonal couplings depend only on the node distance d = |i - j|
-    (hat-function weights H_d, plus the near-field second difference at
-    d = 1), so they are computed once per distance and laid out as the
-    rows of one window view; the diagonal collects the near-field weight,
-    the exact in-domain kernel mass outside the h/2 ball, and the exterior
-    tail.
+    Every entry depends only on the node distance d = |i - j| and on h, so
+    A is one coefficient vector laid out as the rows of one window view:
+    A_ij = -c coef_|i-j|.  For d >= 1, coef_d is the hat weight H_d of the
+    kernel outside the h/2 ball (plus the near-field second difference at
+    d = 1).  The diagonal, c (2 w_near / h^2 + (h/2)^(-2 beta) / beta - H_0),
+    is the near field plus the whole line's kernel mass outside the h/2
+    ball, minus the node's own hat weight; the exterior's share of that
+    mass is what keeps the row sums positive.
     """
     n = grid.n
     h = grid.h
@@ -132,41 +127,25 @@ def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     pr = -2.0 * beta  # r * kernel exponent (log case at beta = 1/2)
     w_near = (h / 2.0) ** (2.0 - 2.0 * beta) / (2.0 - 2.0 * beta)  # int_0^{h/2} r^(1-2 beta) dr
 
-    # Hat-function weights: H_1 sees the h/2 exclusion ball, H_d (d >= 2) the full hat.
-    coef = np.zeros(n)  # coupling magnitude at distance d
-    if n > 1:
-        H1 = (
-            _pow_integral(h / 2.0, h, pr) / h
-            + 2.0 * _pow_integral(h, 2.0 * h, pk)
-            - _pow_integral(h, 2.0 * h, pr) / h
-        )
-        coef[1] = H1 + w_near / h**2
-    if n > 2:
-        d = np.arange(2, n, dtype=float)
-        lo, mid, hi = (d - 1.0) * h, d * h, (d + 1.0) * h
-        coef[2:] = (
-            _pow_integral(lo, mid, pr) / h
-            - (d - 1.0) * _pow_integral(lo, mid, pk)
-            + (d + 1.0) * _pow_integral(mid, hi, pk)
-            - _pow_integral(mid, hi, pr) / h
-        )
+    # H_d: the kernel times node j's hat over the cells [lo, mid] and
+    # [mid, hi] of distance r from node i, cut off below h/2 (at d = 1 the
+    # rising cell starts at h/2; at d = 0 it is empty and H_0 is twice the
+    # falling one).  coef_0 holds minus the diagonal's bracket.
+    d = np.arange(n, dtype=float)
+    lo, mid, hi = np.maximum(d - 1.0, 0.5) * h, np.maximum(d, 0.5) * h, (d + 1.0) * h
+    coef = (
+        _pow_integral(lo, mid, pr) / h
+        - (d - 1.0) * _pow_integral(lo, mid, pk)
+        + (d + 1.0) * _pow_integral(mid, hi, pk)
+        - _pow_integral(mid, hi, pr) / h
+    )
+    coef[1:2] += w_near / h**2
+    coef[0] = -(2.0 * w_near / h**2 + (h / 2.0) ** pr / beta - 2.0 * coef[0])
 
     # Row i of A is the window of r = -c (coef_{n-1}, .., coef_1, coef_0,
-    # coef_1, .., coef_{n-1}) that starts at n-1-i: A_ij = -c coef_|i-j|.
+    # coef_1, .., coef_{n-1}) that starts at n-1-i.
     r = -c * np.concatenate((coef[:0:-1], coef))
-    A = sliding_window_view(r, n)[::-1].copy()
-
-    # Diagonal: near-field + in-domain kernel mass beyond h/2 (minus the node's
-    # own hat weight there, the u_i part of the interpolant) + exterior tail.
-    i = np.arange(1, n + 1, dtype=float)
-    dist_a = i * h
-    dist_b = (n + 1.0 - i) * h
-    J = _pow_integral(h / 2.0, dist_a, pk) + _pow_integral(h / 2.0, dist_b, pk)
-    H0 = 2.0 * (_pow_integral(h / 2.0, h, pk) - _pow_integral(h / 2.0, h, pr) / h)
-    x = grid.nodes()  # exterior tail: int_{y outside (a,b)} |x_i - y|^(-1-2 beta) dy
-    kappa = ((x - grid.a) ** pr + (grid.b - x) ** pr) / (2.0 * beta)
-    np.fill_diagonal(A, c * (2.0 * w_near / h**2 + J - H0 + kappa))
-    return FracLapMatrix(beta=beta, grid=grid, entries=A)
+    return FracLapMatrix(sliding_window_view(r, n)[::-1].copy())
 
 
 def bilinear_a(u: Field, v: Field, beta: float) -> float:

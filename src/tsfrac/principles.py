@@ -250,18 +250,18 @@ def _draw_trial(kind: str, seed: int, grid: SpaceGrid, times: np.ndarray, out: n
 _BATCH_BYTES = 4 * 2**20  # most bytes of a batch's forcing samples, which its states overwrite
 
 
-def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds, buf: np.ndarray) -> list:
+def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
     """Solve a batch of one lattice point's trials in one call of its stepper; check each.
 
-    The first (M+1) K n values of ``buf`` hold the batch as one (M+1, K, n)
-    array: trial k's forcing is drawn into its column k, and the stepper
-    writes the states over it.  Before that, each trial's smallest and
-    largest forcing sample are taken, and its check reads the states
-    column and that (2,) pair, all the checks need of f.
+    The batch is one (M+1, K, n) array of its own: trial k's forcing is
+    drawn into its column k, and the stepper writes the states over it.
+    Before that, each trial's smallest and largest forcing sample are
+    taken, and its check reads the states column and that (2,) pair, all
+    the checks need of f.
     """
     times = mesh.times()
     u0 = np.empty((len(seeds), grid.n))
-    batch = buf[: (mesh.M + 1) * len(seeds) * grid.n].reshape(mesh.M + 1, len(seeds), grid.n)
+    batch = np.empty((mesh.M + 1, len(seeds), grid.n))
     for k, seed in enumerate(seeds):
         u0[k] = _draw_trial(kind, seed, grid, times, batch[:, k])
     extremes = np.stack([batch.min(axis=(0, 2)), batch.max(axis=(0, 2))], axis=1)
@@ -279,19 +279,16 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
     per point.  A point's trials are split into balanced batches whose
     forcing samples stay under _BATCH_BYTES, each batch one call of the
     stepper with one right-hand side per trial.  The stepper writes the
-    states over the samples, and every batch in turn uses one buffer,
-    sized for the largest; each check reads its trial's forcing extremes,
-    taken before the overwrite.  The worst report is picked in trial
-    order.  Deterministic: the same config yields the identical report.
+    states over the samples, in an array each batch allocates for itself;
+    each check reads its trial's forcing extremes, taken before the
+    overwrite.  The worst report is picked in trial order.
+    Deterministic: the same config yields the identical report.
     """
     master = np.random.default_rng(config.seed)
     seeds = [int(s) for s in master.integers(0, 2**31 - 1, config.trials)]
     lattice = [(float(al), float(be)) for al in config.alphas for be in config.betas]
     grid, mesh = config.grid, config.mesh
     width = max(1, _BATCH_BYTES // (8 * (mesh.M + 1) * grid.n))
-    most = len(range(0, config.trials, len(lattice)))  # every point has most or most - 1 trials
-    largest = min(width, most)  # no batch is longer than either
-    buf = np.empty((mesh.M + 1) * largest * grid.n)
 
     reports = {}  # trial index -> report
     for p, (alpha, beta) in enumerate(lattice):
@@ -300,7 +297,7 @@ def run_trials(config: TrialConfig) -> PrincipleReport:
             continue
         step = l1_stepper(alpha, beta, grid, mesh)
         for batch in np.array_split(group, -(-len(group) // width)):
-            found = _run_batch(config.kind, grid, mesh, step, [seeds[i] for i in batch], buf)
+            found = _run_batch(config.kind, grid, mesh, step, [seeds[i] for i in batch])
             reports.update(zip(batch.tolist(), found))
 
     worst: PrincipleReport | None = None

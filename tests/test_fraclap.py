@@ -9,6 +9,7 @@ normalization value is exact: c(1/2) = 1/pi in 1-D.
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -121,8 +122,8 @@ class TestAssembly:
         assert checked > 400
 
     def test_peak_memory_is_one_matrix(self):
-        # the Toeplitz part is one copy of a window view: no n x n index
-        # array or other temporary beside the 8 n^2-byte result
+        # A is one copy of one window view: no n x n index array or other
+        # temporary beside the 8 n^2-byte result
         n = 1024
         g = SpaceGrid(-1.0, 1.0, n)
         tracemalloc.start()
@@ -138,6 +139,30 @@ class TestAssembly:
             A = assemble_1d(SpaceGrid(-1.0, 1.0, 1), beta).entries
             assert A.shape == (1, 1)
             assert A[0, 0] > 0.0
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    def test_toeplitz_and_shift_invariant(self, beta, n):
+        # every entry, the diagonal included, depends only on |i - j| and h
+        A = assemble_1d(SpaceGrid(-1.0, 1.0, n), beta).entries
+        i, j = np.indices((n, n))
+        assert np.array_equal(A, A[0, np.abs(i - j)])
+        assert np.array_equal(A, assemble_1d(SpaceGrid(999.0, 1001.0, n), beta).entries)
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [16, 128, 2048])
+    def test_diagonal_against_mpmath(self, beta, n):
+        # c (2 w_near / h^2 + (h/2)^(-2 beta) / beta - H_0): the near field,
+        # the whole line's kernel mass outside the h/2 ball, and the node's
+        # own hat weight H_0 = 2 int_{h/2}^h r^(-1-2 beta) (1 - r/h) dr
+        with mpmath.workdps(40):
+            b, h = mpmath.mpf(beta), mpmath.mpf(SpaceGrid(-1.0, 1.0, n).h)
+            c = b * 2 ** (2 * b) * mpmath.gamma(b + 0.5) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - b))
+            w_near = (h / 2) ** (2 - 2 * b) / (2 - 2 * b)
+            h0 = 2 * mpmath.quad(lambda r: r ** (-1 - 2 * b) * (1 - r / h), [h / 2, h])
+            want = float(c * (2 * w_near / h**2 + (h / 2) ** (-2 * b) / b - h0))
+        A = assemble_1d(SpaceGrid(-1.0, 1.0, n), beta).entries
+        assert A[0, 0] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_beta_outside_unit_interval_rejected(self):
         g = SpaceGrid(-1.0, 1.0, 8)

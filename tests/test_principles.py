@@ -339,7 +339,7 @@ class TestBatchedTrials:
     def test_a_smaller_point_may_run_the_larger_batch(self, kind, monkeypatch):
         # 15 trials fit at n = 128, M = 256.  Of 31 trials on two points the
         # first gets 16, run as 8 + 8, and the second 15, run as one batch
-        # of 15: the buffer the batches share must hold the 15.
+        # of 15, longer than any batch before it.
         calls = record_batches(monkeypatch)
         config = TrialConfig(kind=kind, trials=31, seed=2, alphas=(0.3, 0.7), betas=(0.5,),
                              grid=SpaceGrid(-1.0, 1.0, 128), mesh=TimeMesh(1.0, 256))
@@ -366,10 +366,10 @@ class TestBatchedTrials:
         assert inversions == [(128, 128)] * 4
 
     def test_one_buffer_peak_on_criterion_01_lattice(self):
-        # 128 trials at n = 128, M = 256 run as one batch of 8 per point, in
-        # one 2.1 MB buffer that the states overwrite.  Two arrays of the
-        # states and the forcing in batches of 4 peaked at 2.96-2.97 MB
-        # here (tracemalloc, after a warm-up call); one buffer at 2.84-2.85.
+        # 128 trials at n = 128, M = 256 run as one batch of 8 per point,
+        # each in one 2.1 MB array that the states overwrite.  Two arrays of
+        # the states and the forcing in batches of 4 peaked at 2.96-2.97 MB
+        # (tracemalloc, after a warm-up call); one array per batch at 2.59.
         run_trials(one_point(trials=2, n=8, M=8))
         lattice = (0.3, 0.5, 0.7, 0.9)
         for kind in ("nonneg", "boundary-min"):
@@ -384,9 +384,9 @@ class TestBatchedTrials:
             assert peak <= 2_960_000, (kind, peak)
 
     def test_memory_peak(self):
-        # Two batches of 10 share one buffer of 15 trials (3.9 MB, the most
-        # that fit under _BATCH_BYTES), whose first 2.6 MB hold the forcing
-        # samples until the states overwrite them.
+        # Two batches of 10, each in a 2.6 MB array of its own that holds
+        # the forcing samples until the states overwrite them; the first is
+        # freed before the second is drawn (peak 3.1 MB, tracemalloc).
         config = one_point()
         tracemalloc.start()
         try:
