@@ -214,44 +214,21 @@ class TrialConfig:
             raise ValueError(f"unknown trial kind {self.kind!r}")
 
 
-def _random_bump(rng, grid: SpaceGrid) -> np.ndarray:
-    """Random Fourier bump of _MODES sine modes on the grid nodes."""
-    coeffs = rng.uniform(-1.0, 1.0, _MODES)
-    s = (grid.nodes() - grid.a) / (grid.b - grid.a)
-    return sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
-
-
-def _draw_trial(kind: str, seed: int, grid: SpaceGrid, times: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Draw one trial from its seed: write its forcing samples into ``out`` and return its u0.
-
-    The draws, in order: the u0 bump (_MODES uniforms), the forcing bump
-    (_MODES uniforms), omega, phase and, for weak-nonneg, the slack.  The
-    forcing is max(bump(x) cos(omega t + phase), 0) + slack, the slack 0
-    unless drawn.  ``out`` has shape (len(times), n); it may be a strided
-    column of a batch.
-    """
-    rng = np.random.default_rng(seed)
-    u0 = _random_bump(rng, grid)
-    if kind != "boundary-min":
-        u0 = np.maximum(u0, 0.0)
-    bump = _random_bump(rng, grid)
-    omega = rng.uniform(0.0, 4.0)
-    phase = rng.uniform(0.0, 2 * np.pi)
-    np.multiply(bump, np.cos(omega * times[:, None] + phase), out=out)
-    np.maximum(out, 0.0, out=out)
-    # weak-nonneg manufactures a supersolution of the slack-free problem by
-    # adding a strictly positive forcing slack; the conclusion
-    # (nonnegativity) is then checked exactly.
-    if kind == "weak-nonneg":
-        out += float(rng.uniform(0.5, 1.5))
-    return u0
-
-
 _BATCH_BYTES = 4 * 2**20  # most bytes of a batch's forcing samples, which its states overwrite
 
 
 def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
     """Solve a batch of one lattice point's trials in one call of its stepper; check each.
+
+    Each trial draws from its own seed, in order: the u0 bump (_MODES
+    uniforms), the forcing bump (_MODES uniforms), omega, phase and, for
+    weak-nonneg, the slack.  A bump is the sum of its uniforms times the
+    sine modes sin(k pi s), k = 1.._MODES, s = (x - a)/(b - a), and u0 is
+    its bump, clipped at 0 unless the kind is boundary-min.  The forcing is
+    max(bump(x) cos(omega t + phase), 0) + slack, the slack 0 unless drawn:
+    weak-nonneg manufactures a supersolution of the slack-free problem by
+    a strictly positive slack, and checks the conclusion (nonnegativity)
+    exactly.
 
     The batch is one (M+1, K, n) array of its own: trial k's forcing is
     drawn into its column k, and the stepper writes the states over it.
@@ -259,12 +236,21 @@ def _run_batch(kind: str, grid: SpaceGrid, mesh: TimeMesh, step, seeds) -> list:
     taken, and its check reads the states column and that (2,) pair, all
     the checks need of f.
     """
-    times = mesh.times()
-    u0 = np.empty((len(seeds), grid.n))
+    lows = [-1.0] * 2 * _MODES + [0.0, 0.0] + [0.5] * (kind == "weak-nonneg")
+    highs = [1.0] * 2 * _MODES + [4.0, 2 * np.pi] + [1.5] * (kind == "weak-nonneg")
+    draws = np.array([np.random.default_rng(seed).uniform(lows, highs) for seed in seeds])
+    s = (grid.nodes() - grid.a) / (grid.b - grid.a)
+    modes = np.sin(np.arange(1, _MODES + 1)[:, None] * np.pi * s)
+    u0, bump = (sum(draws[:, j + k, None] * modes[k] for k in range(_MODES)) for j in (0, _MODES))
+    if kind != "boundary-min":
+        np.maximum(u0, 0.0, out=u0)
+    omega, phase = draws[:, 2 * _MODES], draws[:, 2 * _MODES + 1]
     batch = np.empty((mesh.M + 1, len(seeds), grid.n))
-    for k, seed in enumerate(seeds):
-        u0[k] = _draw_trial(kind, seed, grid, times, batch[:, k])
-    extremes = np.stack([batch.min(axis=(0, 2)), batch.max(axis=(0, 2))], axis=1)
+    np.einsum("tk,kx->tkx", np.cos(mesh.times()[:, None] * omega + phase), bump, out=batch)
+    np.maximum(batch, 0.0, out=batch)
+    if kind == "weak-nonneg":
+        batch += draws[:, -1, None]
+    extremes = np.stack([batch.min(axis=0).min(axis=1), batch.max(axis=0).max(axis=1)], axis=1)
     states = step(u0, batch)
     check = check_parabolic_boundary if kind == "boundary-min" else check_nonnegativity
     return [check(states[:, k], extremes[k]) for k in range(len(seeds))]

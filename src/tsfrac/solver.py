@@ -16,23 +16,24 @@ checks.
 The stepper writes the states over the forcing samples it is given, as
 LAPACK's solvers write X over B: row n holds f^n until step n writes u^n
 there, and row 0 becomes u^0 (f^0 enters no step).  Before the first
-step every row gets its u^0 term.  The history sum then runs on one
-dyadic schedule: once step n has its state, the L = n & -n states
-u^{n-L+1} .. u^n are pushed into the right-hand sides of the next L steps
-(those up to M) by matrix-matrix products.  Steps j < t meet in exactly
-one push, after step j and before step t: with 2^b the highest bit in
-which j - 1 and t - 1 differ, it is the push of L = 2^b states after step
-t - 1 with its bits below b cleared.  So every row gets its history terms
-oldest first.  A push of more than _BLOCK states runs as products of
-_BLOCK states each, oldest first, and one Toeplitz view _BLOCK weights
-wide serves every product.  These full products are the finished-block
-products of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput.
-6:532, 1985), with dense products in place of FFTs.  Shorter pieces are
-np.dot and full ones @: @ on every piece was slower (the K = 8, n = 16,
-M = 256 call took 3.9 ms in place of 3.5), and np.dot copies the reversed
-rows x _BLOCK Toeplitz operand of a full piece, which raised the traced
-peak of the K = 1, n = 128, M = 512 call to 396 kB, past the 328 kB the
-tests allow.  Only the order of summation differs from a step-by-step sum.
+step every row gets its u^0 term.  The history sum is the block scheme
+of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6:532, 1985),
+with dense products in place of FFTs.  Step n pulls the q = (n-1) mod
+_PULL earlier states of its _PULL-step block (one product of w_{q-1},
+.., w_0, 1 with rows n-q .. n) and multiplies that sum by G into row n.
+After a step n that ends a block, its L = n & -n states u^{n-L+1} .. u^n
+are pushed into the rows of the next L steps (up to M).  Steps j < t of
+one block meet in t's pull, others in one push: with 2^b >= _PULL the
+highest bit in which j-1 and t-1 differ, that of 2^b states after step
+t-1 with its bits below b cleared.  A push of more than _BLOCK states
+runs as products of _BLOCK states each, oldest first, and one Toeplitz
+view _BLOCK weights wide serves every product.  A step's two products
+and the shorter pieces are np.dot, which costs less per call than @
+(1.7 ms in place of 2.0 for the K = 1, n = 128, M = 256 call); full
+pieces are @, since np.dot copies their reversed Toeplitz operand, which
+raised the traced peak at K = 1, n = 128, M = 512 to 396 kB, past the
+328 kB the tests allow.  Only the order of summation differs from a
+step-by-step sum.
 
 The stepper that l1_stepper builds advances K problems that share alpha,
 beta, the grid and the mesh at once; solve is its one-column call.  The K
@@ -43,8 +44,7 @@ picks for the wider operands.  The u^0 terms and the pushes are split
 into pieces of at most _BLOCK/2 / K rows, so no product holds more than
 _BLOCK/2 rows of n values, for any K and M.
 
-Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor:
-one general matrix-matrix product of the K rows with G, for every K.
+Each step applies G = (b_0 I + A)^{-1} in place of solving with a factor.
 l1_stepper forms G once, in the one n x n buffer that holds A, then
 b_0 I + A, then G, and every call of its stepper reuses it.
 
@@ -74,11 +74,10 @@ inverse is 1 / b.  The sign argument:
   -0.0.
 
 Positivity is therefore exact, with no clamping: each history term is a
-positive weight times a nonnegative state, whatever the order, and G maps
-a nonnegative right-hand side to a nonnegative state through sums of
-products of nonnegatives.  The price is the backward error of inversion
-against solving (Higham, ch. 14): the relative step residual measured
-1.1-1.4 times the Cholesky one (README).
+positive weight times a nonnegative state, in any order, and G maps a
+nonnegative right-hand side to a nonnegative state by sums of products of
+nonnegatives.  The price (Higham, ch. 14): the relative step residual is
+1.1-1.4 times that of solving with a Cholesky factor (README).
 
 Also here: the mollified weak-form residual and the CSV and metadata
 serialization of a Solution.
@@ -110,6 +109,7 @@ __all__ = [
 ]
 
 _BLOCK = 256  # states per history product; longer pushes run as several
+_PULL = 16  # steps per block; each step pulls the earlier states of its block itself
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,9 @@ def l1_stepper(
     with the states of the K problems, which it returns: the same array.
     The samples must be float64 and their rows of K n values views, not
     copies (a C-contiguous array, or a column slice of one, qualifies).
-    It first adds the u^0 terms to the forcing rows; each step then
-    multiplies its K rows by G and pushes its dyadic sub-block of states
-    into the rows of the next steps, _BLOCK states per product at most.
+    It first adds the u^0 terms to the forcing rows; each step then pulls
+    its block's states and multiplies by G, and each _PULL-th step pushes
+    its dyadic sub-block into later rows, _BLOCK states per product at most.
     Nonnegative data give exactly nonnegative states.
 
     That rests on b_0 > 0, b_{j-1} - b_j >= 0 (j = 1..M) and b_M >= 0,
@@ -208,9 +208,9 @@ def l1_stepper(
     off-diagonal entries of A that are <= 0, which rounding breaks for
     beta within about 1e-11 of 1/2: l1_stepper then raises ValueError
     naming alpha, M and the first bad j, or beta, n and the first bad
-    distance.  The returned function raises ValueError for samples of
-    another type or layout and for a non-finite u0 or forcing sample, all
-    before it writes anything, and for states that overflow.
+    distance.  The returned function raises ValueError for a u0 not (K, n),
+    for samples of another type or layout and for a non-finite u0 or forcing
+    sample, all before it writes anything, and for states that overflow.
     """
     M, nx = mesh.M, grid.n
     b = l1_weights(alpha, mesh.tau, M)
@@ -230,9 +230,12 @@ def l1_stepper(
     _inverse(G)
     # toeplitz[r, c] = w[r + _BLOCK - 1 - c], zero past w[M-1] so that M < _BLOCK has a view too
     toeplitz = sliding_window_view(np.concatenate([w, np.zeros(_BLOCK - 1)]), _BLOCK)[:, ::-1]
+    pull = np.concatenate((w[: _PULL - 1][::-1], [1.0]))  # w_14 .. w_0, and 1 for row n itself
 
     def l1_states(u0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         K = u0.shape[0]
+        if u0.shape != (K, nx):
+            raise ValueError(f"u0 must have shape {(K, nx)}, got {u0.shape}")
         flat = forcing.reshape(M + 1, K * nx) if forcing.shape == (M + 1, K, nx) else None
         if forcing.dtype != np.float64 or flat is None or not np.may_share_memory(flat, forcing):
             raise ValueError(f"forcing must be float64 of shape {(M + 1, K, nx)} with rows of K n values "
@@ -244,8 +247,8 @@ def l1_stepper(
             j, k, i = np.argwhere(~np.isfinite(forcing))[0]
             x, t = float(grid.nodes()[i]), float(mesh.times()[j])
             raise ValueError(f"forcing sample is {forcing[j, k, i]} at (x={x!r}, t={t!r})")
-        step = np.empty((K, nx))
-        states = forcing
+        rhs = np.empty(K * nx)
+        rhs_rows, states = rhs.reshape(K, nx), forcing
         states[0] = u0
         rows = max(1, _BLOCK // 2 // K)  # rows of K n values per temporary
         # An overflow shows as a non-finite state and is reported after the loop.
@@ -255,8 +258,11 @@ def l1_stepper(
                 c1 = min(c0 + rows, M + 1)
                 flat[c0:c1] += b[c0 - 1 : c1 - 1, None] * flat[0]
             for n in range(1, M + 1):
-                np.matmul(states[n], G, out=step)
-                states[n] = step
+                q = (n - 1) % _PULL  # earlier states of step n's own block
+                np.dot(pull[-1 - q :], flat[n - q : n + 1], out=rhs)
+                np.dot(rhs_rows, G, out=states[n])
+                if n % _PULL:
+                    continue
                 L = n & -n
                 r = min(n + 1 + L, M + 1)  # push u^{n-L+1} .. u^n into rows n+1 .. r-1
                 P = min(L, _BLOCK)  # states per product, oldest piece first

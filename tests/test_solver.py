@@ -229,12 +229,14 @@ def l1_residual(sol, A, k):
 
 
 class TestBlockedHistorySum:
-    """``solve`` sums the history by dyadic pushes of finished states, a
-    push of more than 256 states as products of 256 each; only the order
-    of summation differs from the per-step sum."""
+    """``solve`` sums the history of each step in two parts: the step pulls
+    the earlier states of its own 16-step block in one product, and each
+    finished block of 16 or more states is pushed into later rows by
+    dyadic pushes, a push of more than 256 states as products of 256 each;
+    only the order of summation differs from the per-step sum."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
-    @pytest.mark.parametrize("M", [255, 256, 257, 300, 512, 513, 1000])
+    @pytest.mark.parametrize("M", [16, 17, 255, 256, 257, 300, 512, 513, 1000])
     def test_matches_per_step_oracle(self, M, alpha):
         rng = np.random.default_rng(1000 * M + int(10 * alpha))
         grid = SpaceGrid(-1.0, 1.0, 16)
@@ -250,10 +252,11 @@ class TestBlockedHistorySum:
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
         assert got.min() >= 0.0
 
-    @pytest.mark.parametrize("K", [1, 7])
-    @pytest.mark.parametrize("M", [1, 2, 3, 5, 127, 128, 129, 255, 256, 257, 300, 600, 1025])
+    @pytest.mark.parametrize("K", [1, 3, 7])
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 15, 16, 17, 31, 32, 33, 48, 127, 128, 129, 255, 256, 257,
+                                   300, 600, 1025])
     def test_l1_equation_at_every_step(self, M, K):
-        # A pair (j, n) that the push schedule misses or counts twice breaks
+        # A pair (j, n) that the pulls and pushes miss or count twice breaks
         # the equation at the first step n that needs it.
         rng = np.random.default_rng(10 * M + K)
         grid, mesh = SpaceGrid(-1.0, 1.0, 8), TimeMesh(1.0, M)
@@ -415,6 +418,16 @@ class TestStatesOverForcing:
         kept = F.copy()
         with pytest.raises(ValueError, match="^u0 is inf at x="):
             step(bad, F)
+        assert np.array_equal(F, kept)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 16, 1)])
+    def test_refuses_a_misshaped_u0(self, shape):
+        # A (K, 1) u0 would broadcast over every node, a (K, n, 1) one
+        # would fail inside numpy: both are refused before any write.
+        grid, mesh, u0, F = TestManyColumns.data(16, 3, 8, seed=17)
+        kept = F.copy()
+        with pytest.raises(ValueError, match=re.escape(f"u0 must have shape (3, 16), got {shape}")):
+            l1_stepper(0.5, 0.6, grid, mesh)(np.ones(shape), F)
         assert np.array_equal(F, kept)
 
     def test_refuses_samples_it_cannot_overwrite(self):
