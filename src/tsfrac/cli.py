@@ -210,8 +210,8 @@ def _gib(nbytes: int) -> str:
 def _float_range_errors(a: float, b: float, n: int, T: float, M: int) -> list:
     """Why float64 cannot hold n interior nodes on (a, b) or M steps on [0, T]: [] if it can.
 
-    The assembly divides by h^2, so h = (b - a)/(n + 1) must square to a
-    positive finite number.  The L1 weights scale as tau^(-alpha), so
+    The assembly scales by h^(-2 beta), below 1/h^2 for h < 1, so
+    h = (b - a)/(n + 1) must square to a positive finite number.  The L1 weights scale as tau^(-alpha), so
     tau = T/M must be a normal float; then every tau^(-alpha) is finite.
     """
     errors = []

@@ -9,13 +9,18 @@ distance d = |i - j| and h alone, so the matrix is symmetric Toeplitz:
 * near field |y - x_i| < h/2: principal value of the local quadratic
   model, a second-difference term with weight int_0^{h/2} r^(1-2 beta) dr;
 * far field inside the domain: the kernel integrated exactly per cell
-  against the piecewise-linear interpolant (hat-function weights H_d);
+  against the piecewise-linear interpolant.  By parts, node j's hat
+  weight is (t_{d-1} - t_d) / (2 beta) h^(-2 beta), with the cell
+  integrals t_k = int_k^{k+1} max(r, 1/2)^(-2 beta) dr in units of h;
 * the u_i term of the far field: beyond h/2, every node sees the whole
-  line's kernel mass, in the domain or in the exterior where u = 0, so the
-  diagonal holds the closed form (h/2)^(-2 beta) / beta minus the node's
-  own hat weight H_0.  The exterior's share of that mass keeps the row
-  sums positive (truncating it would break the row-sum positivity that
-  drives every maximum principle downstream).
+  line's kernel mass, in the domain or in the exterior where u = 0, less
+  its own hat weight, which leaves t_0 / beta.  The exterior's share of
+  that mass keeps the row sums positive (truncating it would break the
+  row-sum positivity that drives every maximum principle downstream).
+
+Each t_k, k >= 1, is one power increment k^q expm1(q log1p(1/k)) / q with
+q = 1 - 2 beta (log1p(1/k) at q = 0), never a difference of nearly equal
+powers, at beta = 1/2 or next to it.
 
 The result is a symmetric positive-definite M-matrix: positive diagonal,
 nonpositive off-diagonals, strictly positive row sums.  It is the one
@@ -56,7 +61,7 @@ class SpaceGrid:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if self.n < 1:
             raise ValueError(f"need at least one interior node, got n={self.n}")
-        if not 0.0 < self.h * self.h < math.inf:  # assembly divides by h^2
+        if not 0.0 < self.h * self.h < math.inf:  # assembly scales by h^(-2 beta) < 1/h^2 for h < 1
             raise ValueError(f"need finite a, b and h with 0 < h^2 < inf, got [{self.a}, {self.b}]")
 
     @property
@@ -99,52 +104,36 @@ def normalization_constant(beta: float) -> float:
     )
 
 
-def _pow_integral(r0, r1, p: float):
-    """Exact integral of r^p over [r0, r1], elementwise; p = -1 is the log case."""
-    r0 = np.asarray(r0, dtype=float)
-    r1 = np.asarray(r1, dtype=float)
-    if abs(p + 1.0) < 1e-12:
-        return np.log(r1 / r0)
-    return (r1 ** (p + 1.0) - r0 ** (p + 1.0)) / (p + 1.0)
-
-
 def assemble_1d(grid: SpaceGrid, beta: float) -> FracLapMatrix:
     """Assemble the dense discrete (-Delta)^beta on the grid.
 
     Every entry depends only on the node distance d = |i - j| and on h, so
     A is one coefficient vector laid out as the rows of one window view:
-    A_ij = -c coef_|i-j|.  For d >= 1, coef_d is the hat weight H_d of the
-    kernel outside the h/2 ball (plus the near-field second difference at
-    d = 1).  The diagonal, c (2 w_near / h^2 + (h/2)^(-2 beta) / beta - H_0),
-    is the near field plus the whole line's kernel mass outside the h/2
-    ball, minus the node's own hat weight; the exterior's share of that
-    mass is what keeps the row sums positive.
+    A_ij = -c h^(-2 beta) coef_|i-j|, all from the one vector of cell
+    integrals t_0 .. t_{n-1} of the module docstring, with
+    t_0 = (1/2)^q + int_{1/2}^1 r^(-2 beta) dr.  For d >= 1, coef_d is the
+    hat weight (t_{d-1} - t_d) / (2 beta), plus the near field
+    (1/2)^(2-2 beta) / (2-2 beta) at d = 1.  The diagonal is the positive
+    sum (1/2)^q / (2 (1 - beta)) + t_0 / beta.
     """
     n = grid.n
-    h = grid.h
-    c = normalization_constant(beta)
-    pk = -1.0 - 2.0 * beta  # kernel exponent
-    pr = -2.0 * beta  # r * kernel exponent (log case at beta = 1/2)
-    w_near = (h / 2.0) ** (2.0 - 2.0 * beta) / (2.0 - 2.0 * beta)  # int_0^{h/2} r^(1-2 beta) dr
+    c = normalization_constant(beta)  # checks beta before the divisions below
+    q = 1.0 - 2.0 * beta
+    # Cell k is [lo, k + 1], lo = max(k, 1/2): t_k = lo^q expm1(q g) / q with
+    # g = log((k + 1) / lo); t_0 adds the flat (1/2)^q of [0, 1/2].
+    k = np.arange(n, dtype=float)
+    lo = np.maximum(k, 0.5)
+    g = np.log1p((k + 1.0 - lo) / lo)
+    t = g if q == 0.0 else lo**q * np.expm1(q * g) / q
+    t[0] += 0.5**q
+    coef = np.empty(n)
+    coef[1:] = (t[:-1] - t[1:]) / (2.0 * beta)
+    coef[1:2] += 0.5 ** (2.0 - 2.0 * beta) / (2.0 - 2.0 * beta)
+    coef[0] = -(0.5**q / (2.0 * (1.0 - beta)) + t[0] / beta)
 
-    # H_d: the kernel times node j's hat over the cells [lo, mid] and
-    # [mid, hi] of distance r from node i, cut off below h/2 (at d = 1 the
-    # rising cell starts at h/2; at d = 0 it is empty and H_0 is twice the
-    # falling one).  coef_0 holds minus the diagonal's bracket.
-    d = np.arange(n, dtype=float)
-    lo, mid, hi = np.maximum(d - 1.0, 0.5) * h, np.maximum(d, 0.5) * h, (d + 1.0) * h
-    coef = (
-        _pow_integral(lo, mid, pr) / h
-        - (d - 1.0) * _pow_integral(lo, mid, pk)
-        + (d + 1.0) * _pow_integral(mid, hi, pk)
-        - _pow_integral(mid, hi, pr) / h
-    )
-    coef[1:2] += w_near / h**2
-    coef[0] = -(2.0 * w_near / h**2 + (h / 2.0) ** pr / beta - 2.0 * coef[0])
-
-    # Row i of A is the window of r = -c (coef_{n-1}, .., coef_1, coef_0,
-    # coef_1, .., coef_{n-1}) that starts at n-1-i.
-    r = -c * np.concatenate((coef[:0:-1], coef))
+    # Row i of A is the window of r = -c h^(-2 beta) (coef_{n-1}, .., coef_1,
+    # coef_0, coef_1, .., coef_{n-1}) that starts at n-1-i.
+    r = -c * np.float64(grid.h) ** (-2.0 * beta) * np.concatenate((coef[:0:-1], coef))
     return FracLapMatrix(sliding_window_view(r, n)[::-1].copy())
 
 

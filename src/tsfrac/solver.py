@@ -204,13 +204,14 @@ def l1_stepper(
     Nonnegative data give exactly nonnegative states.
 
     That rests on b_0 > 0, b_{j-1} - b_j >= 0 (j = 1..M) and b_M >= 0,
-    which rounding can break at alpha near 0 or 1 with many steps, and on
+    which rounding can break at alpha near 0 with many steps, and on
     off-diagonal entries of A that are <= 0, which rounding breaks for
-    beta within about 1e-11 of 1/2: l1_stepper then raises ValueError
-    naming alpha, M and the first bad j, or beta, n and the first bad
-    distance.  The returned function raises ValueError for a u0 not (K, n),
-    for samples of another type or layout and for a non-finite u0 or forcing
-    sample, all before it writes anything, and for states that overflow.
+    beta near 0, where they shrink to rounding noise: l1_stepper then
+    raises ValueError naming alpha, M and the first bad j, or beta, n and
+    the first bad distance.  The returned function raises ValueError for a
+    u0 that is not a float64 array of shape (K, n), for samples of another
+    type or layout and for a non-finite u0 or forcing sample, all before
+    it writes anything, and for states that overflow.
     """
     M, nx = mesh.M, grid.n
     b = l1_weights(alpha, mesh.tau, M)
@@ -221,7 +222,7 @@ def l1_stepper(
         raise ValueError(f"L1 weights at alpha={alpha!r}, M={M} break b_0 > 0, b_(j-1) >= b_j, "
                          f"b_M >= 0 first at j={j}")
     G = assemble_1d(grid, beta).entries
-    # A_ij = -c coef_|i-j|, so row 0 holds every off-diagonal value once.
+    # A is Toeplitz, so row 0 holds every off-diagonal value once.
     bad = np.flatnonzero(G[0, 1:] > 0.0)
     if bad.size:
         raise ValueError(f"operator at beta={beta!r}, n={nx} has a positive off-diagonal entry, "
@@ -233,9 +234,10 @@ def l1_stepper(
     pull = np.concatenate((w[: _PULL - 1][::-1], [1.0]))  # w_14 .. w_0, and 1 for row n itself
 
     def l1_states(u0: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        if not (isinstance(u0, np.ndarray) and u0.dtype == np.float64 and u0.ndim == 2 and u0.shape[1] == nx):
+            got = f"{u0.dtype} of shape {u0.shape}" if isinstance(u0, np.ndarray) else type(u0).__name__
+            raise ValueError(f"u0 must be float64 of shape (K, {nx}), got {got}")
         K = u0.shape[0]
-        if u0.shape != (K, nx):
-            raise ValueError(f"u0 must have shape {(K, nx)}, got {u0.shape}")
         flat = forcing.reshape(M + 1, K * nx) if forcing.shape == (M + 1, K, nx) else None
         if forcing.dtype != np.float64 or flat is None or not np.may_share_memory(flat, forcing):
             raise ValueError(f"forcing must be float64 of shape {(M + 1, K, nx)} with rows of K n values "

@@ -33,6 +33,8 @@ __all__ = [
 def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
     """L1 weights b_j = tau^(-alpha) ((j+1)^(1-alpha) - j^(1-alpha)) / Gamma(2-alpha).
 
+    Each increment is formed as j^g expm1(g log1p(1/j)), g = 1 - alpha,
+    so no two nearly equal powers are subtracted (b_0 has increment 1).
     Strictly positive and strictly decreasing in j (concavity of j^(1-alpha)).
     """
     check_order("alpha", alpha)
@@ -40,8 +42,10 @@ def l1_weights(alpha: float, tau: float, n: int) -> np.ndarray:
         raise ValueError(f"n must be >= 0, got {n}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    j = np.arange(n + 1, dtype=float)
-    return tau ** (-alpha) * ((j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)) / math.gamma(2.0 - alpha)
+    g = 1.0 - alpha
+    j = np.arange(1, n + 1, dtype=float)
+    inc = np.concatenate(([1.0], j**g * np.expm1(g * np.log1p(1.0 / j))))
+    return tau ** (-alpha) * inc / math.gamma(2.0 - alpha)
 
 
 def caputo_l1(u: np.ndarray, tau: float, alpha: float, n: int) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tsfrac.cli import ConfigError, _study, load_config, main
+from tsfrac.fraclap import assemble_1d
 
 GOLDEN = {
     "alpha": 0.5,
@@ -280,23 +281,49 @@ class TestExitCodes:
         assert capsys.readouterr().err == "internal numeric error: states overflow: u^2 is not finite\n"
 
     def test_weights_losing_their_sign_exit_three(self, tmp_path, capsys):
-        # At alpha = 1e-9 and M = 4096, 42 rounded differences b_{j-1} - b_j
-        # are negative, so exact positivity has lost its premise: a numeric
-        # error, not a theorem failure (exit 1, violation 1.1e-13).
-        cfg = write_config(tmp_path, {"n": 32, "M": 4096, "alpha": 1e-9, "u0": "0", "f": "max(0, 2 - 4096*t)"})
+        # At alpha = 1e-12 and M = 4096 the rounded differences b_{j-1} - b_j
+        # turn negative from j = 2775 on, so exact positivity has lost its
+        # premise: a numeric error, not a theorem failure.
+        cfg = write_config(tmp_path, {"n": 32, "M": 4096, "alpha": 1e-12, "u0": "0", "f": "max(0, 2 - 4096*t)"})
         assert main(["verify", "--config", str(cfg), "--suite", "nonneg", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1, err
-        assert err[0].startswith("internal numeric error: L1 weights at alpha=1e-09, M=4096 "), err
+        assert err == ["internal numeric error: L1 weights at alpha=1e-12, M=4096 break b_0 > 0, "
+                       "b_(j-1) >= b_j, b_M >= 0 first at j=2775"], err
 
-    def test_positive_off_diagonal_exit_three(self, tmp_path, capsys):
-        # At beta = 0.5 + 5e-13 and n = 256 rounding leaves 76 off-diagonal
-        # entries of A positive, so exact positivity has lost its premise.
-        cfg = write_config(tmp_path, {"n": 256, "beta": 0.5 + 5e-13})
+    def test_weights_at_alpha_1e_9_keep_their_sign(self, tmp_path):
+        # Each weight is one power increment, so alpha = 1e-9 keeps every
+        # difference b_{j-1} - b_j >= 0 at M = 4096, and the positivity
+        # trials hold exactly.
+        cfg = write_config(tmp_path, {"n": 32, "M": 4096, "alpha": 1e-9, "u0": "0", "f": "max(0, 2 - 4096*t)"})
+        assert main(["verify", "--config", str(cfg), "--suite", "nonneg", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())["nonneg"]
+        assert report["configured_profile"]["violation"] == 0.0
+        assert report["trials"]["violation"] == 0.0
+
+    def test_positive_off_diagonal_exit_three(self, tmp_path, monkeypatch, capsys):
+        # An operator with positive off-diagonal entries (built in here) has
+        # lost the premise of exact positivity: a numeric error.
+        def assemble_with_positive_entries(grid, beta):
+            A = assemble_1d(grid, beta)
+            i, j = np.indices(A.entries.shape)
+            A.entries[abs(i - j) == 3] = 1e-3
+            return A
+
+        monkeypatch.setattr("tsfrac.solver.assemble_1d", assemble_with_positive_entries)
+        cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1, err
-        assert err[0].startswith("internal numeric error: operator at beta=0.5000000000005, n=256 "), err
+        assert err == ["internal numeric error: operator at beta=0.5, n=16 has a positive off-diagonal entry, "
+                       "first at distance d=3"], err
+
+    def test_beta_next_to_half_solves(self, tmp_path):
+        # At beta = 0.5 + 5e-13 every off-diagonal of A is formed from power
+        # increments and stays <= 0, so the nonnegative data give exactly
+        # nonnegative states.
+        cfg = write_config(tmp_path, {"n": 256, "beta": 0.5 + 5e-13})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        u = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)[:, 2]
+        assert max(0.0, -u.min()) == 0.0
 
     def test_memory_preflight_exit_two(self, tmp_path, monkeypatch, capsys):
         # Decided from the estimate alone: nothing of the size is allocated.

@@ -149,7 +149,8 @@ class TestAssembly:
         assert np.array_equal(A, A[0, np.abs(i - j)])
         assert np.array_equal(A, assemble_1d(SpaceGrid(999.0, 1001.0, n), beta).entries)
 
-    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99,
+                                      0.5 - 5e-13, 0.5 + 5e-13, 0.5 - 1e-12, 0.5 + 1e-12, 0.5 + 1e-11])
     @pytest.mark.parametrize("n", [16, 128, 2048])
     def test_diagonal_against_mpmath(self, beta, n):
         # c (2 w_near / h^2 + (h/2)^(-2 beta) / beta - H_0): the near field,
@@ -163,6 +164,24 @@ class TestAssembly:
             want = float(c * (2 * w_near / h**2 + (h / 2) ** (-2 * b) / b - h0))
         A = assemble_1d(SpaceGrid(-1.0, 1.0, n), beta).entries
         assert A[0, 0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9, 0.5 - 5e-13, 0.5 + 1e-12])
+    def test_far_field_against_mpmath(self, beta):
+        # -c times the kernel integrated against node j's hat outside the
+        # h/2 ball (plus the near-field second difference at d = 1)
+        n = 2048
+        grid = SpaceGrid(-1.0, 1.0, n)
+        A = assemble_1d(grid, beta).entries
+        with mpmath.workdps(30):
+            b, h = mpmath.mpf(beta), mpmath.mpf(grid.h)
+            c = b * 2 ** (2 * b) * mpmath.gamma(b + 0.5) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 - b))
+            for d in (1, 2, 3, 10, n // 2, n - 1):
+                lo, mid, hi = max(d - 1, 0.5) * h, d * h, (d + 1) * h
+                hat = mpmath.quad(lambda r: r ** (-1 - 2 * b) * (r / h - (d - 1)), [lo, mid])
+                hat += mpmath.quad(lambda r: r ** (-1 - 2 * b) * ((d + 1) - r / h), [mid, hi])
+                near = (h / 2) ** (2 - 2 * b) / (2 - 2 * b) / h**2 if d == 1 else 0
+                want = float(-c * (hat + near))
+                assert A[0, d] == pytest.approx(want, rel=1e-11, abs=0.0), d
 
     def test_beta_outside_unit_interval_rejected(self):
         g = SpaceGrid(-1.0, 1.0, 8)

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 from scipy.linalg import lapack
 
@@ -387,6 +389,36 @@ def test_weight_premise_holds_or_stepper_raises(alpha, M):
         l1_stepper(alpha, 0.5, ONE_NODE, mesh)
 
 
+NEAR_0 = st.floats(np.finfo(float).tiny, 1e-6)  # a subnormal beta overflows t_0 / beta
+NEAR_HALF = st.floats(0.5 - 1e-6, 0.5 + 1e-6)
+NEAR_1 = st.floats(1.0 - 1e-6, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), M=st.integers(1, 65536),
+       beta=st.one_of(NEAR_0, NEAR_HALF, NEAR_1), n=st.integers(1, 2048))
+@example(alpha=1e-12, M=65536, beta=0.5 + 5e-13, n=256)
+@example(alpha=0.5, M=16, beta=1e-14, n=256)
+@example(alpha=1.0 - 1e-12, M=65536, beta=1.0 - 1e-12, n=2048)
+def test_sign_premises_hold_or_stepper_raises(alpha, M, beta, n):
+    # Both signs of exact positivity, the weights' and the operator's, hold
+    # over all of (0, 1) but at alpha or beta near 0, where their differences
+    # shrink to rounding noise; there l1_stepper refuses with its ValueError.
+    b = l1_weights(alpha, 1.0 / M, M)
+    weights_ok = b[0] > 0.0 and bool(np.all(b[:-1] >= b[1:])) and b[M] >= 0.0
+    grid = SpaceGrid(-1.0, 1.0, n)
+    A = assemble_1d(grid, beta).entries
+    operator_ok = bool(np.all(A[0, 1:] <= 0.0))
+    assert A[0, 0] > 0.0 and np.isfinite(A).all()
+    assert weights_ok or alpha < 1e-10, alpha
+    assert operator_ok or beta < 1e-11, beta
+    if weights_ok and operator_ok:
+        return
+    what = "L1 weights" if not weights_ok else "operator"
+    with pytest.raises(ValueError, match=f"^{what} at "):
+        l1_stepper(alpha, beta, grid, TimeMesh(1.0, M))
+
+
 class TestStatesOverForcing:
     """The stepper writes the states over the forcing samples it is given
     and returns that array; solve gives it a copy of its samples."""
@@ -426,9 +458,23 @@ class TestStatesOverForcing:
         # would fail inside numpy: both are refused before any write.
         grid, mesh, u0, F = TestManyColumns.data(16, 3, 8, seed=17)
         kept = F.copy()
-        with pytest.raises(ValueError, match=re.escape(f"u0 must have shape (3, 16), got {shape}")):
+        message = f"u0 must be float64 of shape (K, 16), got float64 of shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             l1_stepper(0.5, 0.6, grid, mesh)(np.ones(shape), F)
         assert np.array_equal(F, kept)
+
+    def test_refuses_a_u0_that_is_no_float64_array(self):
+        # A numpy scalar, a nested list and an object array are refused with
+        # the same ValueError as a misshaped u0, before any write.
+        grid, mesh, u0, F = TestManyColumns.data(8, 1, 4, seed=18)
+        step = l1_stepper(0.5, 0.6, grid, mesh)
+        kept = F.copy()
+        for bad, got in ((np.float64(1.0), "float64"), (u0.tolist(), "list"),
+                         (u0.astype(object), "object of shape (1, 8)")):
+            message = f"u0 must be float64 of shape (K, 8), got {got}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                step(bad, F)
+            assert np.array_equal(F, kept)
 
     def test_refuses_samples_it_cannot_overwrite(self):
         grid, mesh, u0, F = TestManyColumns.data(16, 4, 8, seed=15)
@@ -463,19 +509,25 @@ class TestStatesOverForcing:
 
 
 class TestOperatorSignPremise:
-    """Exact positivity needs every off-diagonal entry of A to be <= 0;
-    rounding breaks that for beta within about 1e-11 of 1/2."""
+    """Exact positivity needs every off-diagonal entry of A to be <= 0.
+    Formed from power increments, they keep that sign at and next to
+    beta = 1/2; rounding breaks it only at beta near 0, where they shrink
+    to rounding noise."""
 
-    def test_positive_off_diagonal_refused(self):
+    def test_positive_off_diagonal_refused(self, monkeypatch):
+        def assemble_with_positive_entries(grid, beta):
+            A = assemble_1d(grid, beta)
+            i, j = np.indices(A.entries.shape)
+            A.entries[abs(i - j) == 5] = 1e-17
+            return A
+
+        monkeypatch.setattr("tsfrac.solver.assemble_1d", assemble_with_positive_entries)
         grid = SpaceGrid(-1.0, 1.0, 256)
         beta = 0.5 + 5e-13
-        off = assemble_1d(grid, beta).entries[0, 1:]
-        first = int(np.flatnonzero(off > 0.0)[0]) + 1
-        assert np.count_nonzero(off > 0.0) == 76
         with pytest.raises(ValueError) as info:
             l1_stepper(0.5, beta, grid, TimeMesh(1.0, 16))
         assert str(info.value) == (f"operator at beta={beta!r}, n=256 has a positive off-diagonal entry, "
-                                   f"first at distance d={first}")
+                                   "first at distance d=5")
 
     @pytest.mark.parametrize("n", [16, 128, 256])
     def test_half_is_accepted(self, n):

@@ -11,6 +11,7 @@ Grunwald-Letnikov sum is the independent oracle for the L1 derivative.
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -142,6 +143,19 @@ class TestL1Weights:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError, match="alpha"):
                 l1_weights(bad, 0.1, 4)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.5, 0.9, 1 - 1e-9])
+    def test_against_mpmath(self, alpha):
+        # every weight to 1e-15 relative, alpha near 0 and 1 included:
+        # no two nearly equal powers are subtracted
+        M = 4096
+        b = l1_weights(alpha, 1.0 / M, M)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            g, scale = 1 - a, mpmath.mpf(M) ** a / mpmath.gamma(2 - a)
+            err = max(abs(mpmath.mpf(float(bj)) / (scale * ((j + 1) ** g - mpmath.mpf(j) ** g)) - 1)
+                      for j, bj in enumerate(b))
+        assert err <= 1e-15, float(err)
 
 
 def _sample(fn, T, M, extra=0):
