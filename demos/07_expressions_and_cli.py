@@ -49,7 +49,7 @@ with tempfile.TemporaryDirectory(prefix="tsfrac-demo-") as tmp:
     print(f"\nconfig at {cfg_path}")
 
     loaded = load_config(cfg_path)
-    print(f"loaded: alpha={loaded.alpha}, grid n={loaded.n}, u0 sampled min={loaded.problem().u0.values.min()}")
+    print(f"loaded: alpha={loaded.alpha}, grid n={loaded.grid.n}, u0 sampled min={loaded.problem().u0.values.min()}")
 
     code = main(["solve", "--config", str(cfg_path), "--out", str(workdir / "out")])
     print(f"solve exit code: {code}")

@@ -56,11 +56,8 @@ class ConfigError(ValueError):
 class RunConfig:
     alpha: float
     beta: float
-    a: float
-    b: float
-    n: int
-    T: float
-    M: int
+    grid: fraclap.SpaceGrid
+    mesh: kernels.TimeMesh
     u0_expr: exprparse.Expr
     f_expr: exprparse.Expr
     m: int
@@ -70,21 +67,11 @@ class RunConfig:
     m_ladder: tuple
     raw: dict
 
-    def grid(self) -> fraclap.SpaceGrid:
-        return fraclap.SpaceGrid(self.a, self.b, self.n)
-
-    def mesh(self) -> kernels.TimeMesh:
-        return kernels.TimeMesh(self.T, self.M)
-
     def problem(self) -> solver.ProblemSpec:
         """The configured problem: u0 sampled on the grid, f sampled per step by the solver."""
-        grid = self.grid()
-        u0 = fraclap.Field(grid, _sample_expr(self.u0_expr, grid.nodes(), 0.0, "u0"))
+        u0 = fraclap.Field(self.grid, _sample_expr(self.u0_expr, self.grid.nodes(), 0.0, "u0"))
         return solver.ProblemSpec(
-            solver.FracOrders(self.alpha, self.beta),
-            grid,
-            self.mesh(),
-            u0,
+            solver.FracOrders(self.alpha, self.beta), self.grid, self.mesh, u0,
             lambda x, t: _sample_expr(self.f_expr, x, t, "f"),
         )
 
@@ -150,8 +137,15 @@ def load_config(path: str | Path) -> RunConfig:
                 f"key {key!r}: n={_show(n)} and M={_show(M)} need about "
                 f"{_gib(matrices + arrays)} GiB, over the {_MEMORY_BUDGET // 2**30} GiB budget"
             )
-    if sized and have("a", "b", "T") and vals["a"] < vals["b"] and vals["T"] > 0:
-        errors += _float_range_errors(vals["a"], vals["b"], vals["n"], vals["T"], vals["M"])
+    # The grid and the mesh are built only once their keys and the memory estimate have passed.
+    if sized and have("a", "b") and vals["a"] < vals["b"]:
+        try:
+            grid = fraclap.SpaceGrid(vals["a"], vals["b"], vals["n"])
+        except ValueError as e:
+            errors.append(f"keys 'a','b': {e}")
+    if sized and have("T") and vals["T"] > 0:
+        mesh = kernels.TimeMesh(vals["T"], vals["M"])
+        errors += _step_errors(mesh)
     if not 1 <= vals["m"] <= _MAX_INT:
         errors.append(f"key 'm': must be a positive integer of at most 1.8e308, got {_show(vals['m'])}")
     if vals["trials"] < 1:
@@ -188,9 +182,9 @@ def load_config(path: str | Path) -> RunConfig:
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    scalars = ("alpha", "beta", "a", "b", "n", "T", "M", "m", "trials", "seed", "out")
+    scalars = ("alpha", "beta", "m", "trials", "seed", "out")
     return RunConfig(
-        **{key: vals[key] for key in scalars},
+        **{key: vals[key] for key in scalars}, grid=grid, mesh=mesh,
         u0_expr=exprs["u0"], f_expr=exprs["f"], m_ladder=ladder, raw=raw,
     )
 
@@ -207,22 +201,14 @@ def _gib(nbytes: int) -> str:
     return f"{nbytes / 2**30:.1f}" if nbytes < 2**1000 else "more than 1e290"
 
 
-def _float_range_errors(a: float, b: float, n: int, T: float, M: int) -> list:
-    """Why float64 cannot hold n interior nodes on (a, b) or M steps on [0, T]: [] if it can.
+def _step_errors(mesh: kernels.TimeMesh) -> list:
+    """[] if tau = T/M is a normal float, so that every L1 weight tau^(-alpha) is finite; else why not.
 
-    The assembly scales by h^(-2 beta), below 1/h^2 for h < 1, so
-    h = (b - a)/(n + 1) must square to a positive finite number.  The L1 weights scale as tau^(-alpha), so
-    tau = T/M must be a normal float; then every tau^(-alpha) is finite.
+    A CLI rule, not TimeMesh's: kernel-table's 8192-step quadrature mesh may have a smaller tau.
     """
-    errors = []
-    h = (b - a) / (n + 1)
-    if not math.isfinite(b - a):
-        errors.append(f"keys 'a','b': the width b - a of [{a}, {b}] overflows")
-    elif not 0.0 < h * h < math.inf:
-        errors.append(f"keys 'a','b': with n={n} the spacing h = (b - a)/(n + 1) = {h!r} squares to {h * h!r}")
-    if not T / M >= sys.float_info.min:
-        errors.append(f"key 'T': with M={M} the time step T/M = {T / M!r} is below the smallest normal float")
-    return errors
+    if mesh.tau >= sys.float_info.min:
+        return []
+    return [f"key 'T': with M={mesh.M} the time step T/M = {mesh.tau!r} is below the smallest normal float"]
 
 
 def _coerce(key, value, typ):
@@ -267,7 +253,7 @@ def cmd_solve(config: RunConfig, out_override: str | None = None) -> int:
 def _verify_identities(config: RunConfig) -> dict:
     """Randomized convexity-inequality and extremum-sign suites."""
     rng = np.random.default_rng(config.seed)
-    mesh = config.mesh()
+    mesh = config.mesh
     tau = mesh.tau
     k = kernels.monotone_regularized_kernel(config.alpha, config.m, mesh)
     failures = 0
@@ -339,8 +325,8 @@ def cmd_verify(config: RunConfig, suite: str, out_override: str | None = None) -
                 seed=config.seed,
                 alphas=(config.alpha,),
                 betas=(config.beta,),
-                grid=config.grid(),
-                mesh=config.mesh(),
+                grid=config.grid,
+                mesh=config.mesh,
             )
             entry["trials"] = principles.run_trials(tc).to_json_dict()
         any_fail |= entry["trials"]["status"] != "pass"
@@ -423,19 +409,22 @@ def cmd_convergence(config: RunConfig, out_override: str | None = None) -> int:
 
     # Mollified weak-residual decay under simultaneous (tau, h) halving:
     # M steps on [0, T] and n = 3M/4 interior nodes on (a, b).
-    mid = 0.5 * (config.a + config.b)
-    wid = 0.5 * (config.b - config.a)
+    a, b = config.grid.a, config.grid.b
+    mid, wid = 0.5 * (a + b), 0.5 * (b - a)
 
     def weak_error(Mt):
-        nx = 3 * Mt // 4
-        problems = _float_range_errors(config.a, config.b, nx, config.T, Mt)
+        try:
+            grid = fraclap.SpaceGrid(a, b, 3 * Mt // 4)
+        except ValueError as e:
+            raise ConfigError(f"convergence: keys 'a','b': {e}") from e
+        mesh = kernels.TimeMesh(config.mesh.T, Mt)
+        problems = _step_errors(mesh)
         if problems:
             raise ConfigError(f"convergence: {problems[0]}")
-        grid = fraclap.SpaceGrid(config.a, config.b, nx)
         x = grid.nodes()
         u0 = fraclap.Field(grid, np.maximum(0.0, 1.0 - ((x - mid) / (0.5 * wid)) ** 2))
         problem = solver.ProblemSpec(
-            solver.FracOrders(alpha, beta), grid, kernels.TimeMesh(config.T, Mt), u0,
+            solver.FracOrders(alpha, beta), grid, mesh, u0,
             lambda xx, t: 0.5 * (1.0 + np.cos(np.pi * (xx - mid) / wid)),
         )
         sol = solver.solve(problem)
@@ -453,7 +442,7 @@ def cmd_kernel_table(config: RunConfig, out_override: str | None = None) -> int:
     alpha = config.alpha
     _check_complement("kernel-table", alpha)
     out = _outdir(config, out_override)
-    mesh = config.mesh()
+    mesh = config.mesh
     times = mesh.times()
     cols = {"t": times, "g": np.concatenate([[np.inf], kernels.g_kernel(1.0 - alpha, times[1:])])}
     for m in config.m_ladder:
@@ -462,7 +451,7 @@ def cmd_kernel_table(config: RunConfig, out_override: str | None = None) -> int:
     _write_csv(out / "kernel_table.csv", [list(cols), *zip(*(c.tolist() for c in cols.values()))])
 
     # L1 distances ||greg_m - g|| on [0, T] via fine-mesh quadrature.
-    fine = kernels.TimeMesh(config.T, 8192)
+    fine = kernels.TimeMesh(mesh.T, 8192)
     distances = [(m, _l1_distance(alpha, m, fine)) for m in config.m_ladder]
     _write_csv(out / "kernel_distances.csv", [("m", "l1_distance"), *distances])
     print(f"kernel-table: wrote {out / 'kernel_table.csv'} and {out / 'kernel_distances.csv'}")

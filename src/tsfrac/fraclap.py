@@ -61,8 +61,12 @@ class SpaceGrid:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if self.n < 1:
             raise ValueError(f"need at least one interior node, got n={self.n}")
-        if not 0.0 < self.h * self.h < math.inf:  # assembly scales by h^(-2 beta) < 1/h^2 for h < 1
-            raise ValueError(f"need finite a, b and h with 0 < h^2 < inf, got [{self.a}, {self.b}]")
+        # The assembly scales by h^(-2 beta), below 1/h^2 for h < 1.
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"the width b - a of [{self.a}, {self.b}] overflows")
+        h = self.h
+        if not 0.0 < h * h < math.inf:
+            raise ValueError(f"with n={self.n} the spacing h = (b - a)/(n + 1) = {h!r} squares to {h * h!r}")
 
     @property
     def h(self) -> float:

@@ -28,12 +28,11 @@ highest bit in which j-1 and t-1 differ, that of 2^b states after step
 t-1 with its bits below b cleared.  A push of more than _BLOCK states
 runs as products of _BLOCK states each, oldest first, and one Toeplitz
 view _BLOCK weights wide serves every product.  A step's two products
-and the shorter pieces are np.dot, which costs less per call than @
-(1.7 ms in place of 2.0 for the K = 1, n = 128, M = 256 call); full
-pieces are @, since np.dot copies their reversed Toeplitz operand, which
-raised the traced peak at K = 1, n = 128, M = 512 to 396 kB, past the
-328 kB the tests allow.  Only the order of summation differs from a
-step-by-step sum.
+are np.dot, which costs less per call than @ (1.7 ms in place of 2.0
+for the K = 1, n = 128, M = 256 call); the pieces of a push are @, since
+np.dot copies their reversed Toeplitz operand, which raised the traced
+peak at K = 1, n = 128, M = 512 to 396 kB, past the 328 kB the tests
+allow.  Only the order of summation differs from a step-by-step sum.
 
 The stepper that l1_stepper builds advances K problems that share alpha,
 beta, the grid and the mesh at once; solve is its one-column call.  The K
@@ -238,10 +237,12 @@ def l1_stepper(
             got = f"{u0.dtype} of shape {u0.shape}" if isinstance(u0, np.ndarray) else type(u0).__name__
             raise ValueError(f"u0 must be float64 of shape (K, {nx}), got {got}")
         K = u0.shape[0]
-        flat = forcing.reshape(M + 1, K * nx) if forcing.shape == (M + 1, K, nx) else None
-        if forcing.dtype != np.float64 or flat is None or not np.may_share_memory(flat, forcing):
+        is_array = isinstance(forcing, np.ndarray)
+        flat = forcing.reshape(M + 1, K * nx) if is_array and forcing.shape == (M + 1, K, nx) else None
+        if flat is None or forcing.dtype != np.float64 or not np.may_share_memory(flat, forcing):
+            got = f"{forcing.dtype} of shape {forcing.shape}" if is_array else type(forcing).__name__
             raise ValueError(f"forcing must be float64 of shape {(M + 1, K, nx)} with rows of K n values "
-                             f"that the states overwrite, got {forcing.dtype} of shape {forcing.shape}")
+                             f"that the states overwrite, got {got}")
         if not np.isfinite(u0).all():
             k, i = np.argwhere(~np.isfinite(u0))[0]
             raise ValueError(f"u0 is {u0[k, i]} at x={float(grid.nodes()[i])!r}")
@@ -268,11 +269,10 @@ def l1_stepper(
                 L = n & -n
                 r = min(n + 1 + L, M + 1)  # push u^{n-L+1} .. u^n into rows n+1 .. r-1
                 P = min(L, _BLOCK)  # states per product, oldest piece first
-                dot = np.dot if P < _BLOCK else np.matmul
                 for c0 in range(n + 1, r, rows):
                     c1 = min(c0 + rows, r)
                     for j in range(n + 1 - L, n + 1, P):
-                        flat[c0:c1] += dot(toeplitz[c0 - j - P : c1 - j - P, _BLOCK - P :], flat[j : j + P])
+                        flat[c0:c1] += toeplitz[c0 - j - P : c1 - j - P, _BLOCK - P :] @ flat[j : j + P]
         if not np.isfinite(flat).all():
             k = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
             raise ValueError(f"states overflow: u^{k} is not finite")

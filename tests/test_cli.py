@@ -43,7 +43,7 @@ def write_config(tmp_path, updates=None, name="config.json", drop=()):
 class TestLoadConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.alpha == 0.5 and cfg.n == 16
+        assert cfg.alpha == 0.5 and cfg.grid.n == 16
         assert cfg.m_ladder == (4, 16, 64, 256)
         assert cfg.problem().u0.values[0] >= 0.0
 
@@ -340,7 +340,7 @@ class TestExitCodes:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines()[1].strip().startswith("key 'M': ")
         # the README config is far inside the budget
-        assert load_config(write_config(tmp_path, {"n": 128, "M": 256})).n == 128
+        assert load_config(write_config(tmp_path, {"n": 128, "M": 256})).grid.n == 128
 
     def test_bad_usage_exit_two(self, tmp_path):
         assert main(["verify", "--config", "x", "--suite", "bogus"]) == 2

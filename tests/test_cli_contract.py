@@ -169,6 +169,29 @@ def test_probe_configs(updates, command, code, line):
     assert err[1].startswith("  " + line), err
 
 
+# Configs that break several range rules: the header, then one line per rule in key order.
+COMBINED = [
+    ({"a": 1, "b": -1, "n": 0, "T": 0, "M": 0}, [
+        "keys 'a','b': need a < b, got [1.0, -1.0]",
+        "key 'n': need at least one interior node, got 0",
+        "key 'T': must be positive, got 0.0",
+        "key 'M': need at least one time step, got 0",
+    ]),
+    ({"a": 0, "b": 1e-300, "T": 1e-310}, [
+        "keys 'a','b': with n=16 the spacing h = (b - a)/(n + 1) = 5.882352941176471e-302 squares to 0.0",
+        "key 'T': with M=16 the time step T/M = 6.25e-312 is below the smallest normal float",
+    ]),
+]
+
+
+@pytest.mark.parametrize("command", [SOLVE, CONVERGENCE], ids=["solve", "convergence"])
+@pytest.mark.parametrize("updates, lines", COMBINED)
+def test_combined_config_errors(updates, lines, command):
+    code, err = run(json.dumps({**README, **updates}), command)
+    assert code == 2
+    assert err == ["error: invalid config:", *("  " + line for line in lines)]
+
+
 def test_tiny_alpha_convergence_ends_quickly():
     # The kernels take the order 1 - alpha, which rounds to 1.0 at
     # alpha = 1e-300: a config error before any study runs.

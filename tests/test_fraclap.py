@@ -61,10 +61,12 @@ class TestGridAndField:
             SpaceGrid(0.0, 1.0, 0)
         # infinite ends give nan nodes; finite ends 2e308 apart give h = inf;
         # ends 1e-200 apart give h^2 = 0, which assembly divides by
-        bad = ((-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (-1e308, 1e308), (0.0, 1e-200))
-        for a, b in bad:
-            with pytest.raises(ValueError, match="finite"):
+        for a, b in ((-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match=r"^the width b - a of \[.*\] overflows$"):
                 SpaceGrid(a, b, 4)
+        spacing = r"^with n=4 the spacing h = \(b - a\)/\(n \+ 1\) = 2e-201 squares to 0\.0$"
+        with pytest.raises(ValueError, match=spacing):
+            SpaceGrid(0.0, 1e-200, 4)
 
     def test_field_shape_checked(self):
         g = SpaceGrid(0.0, 1.0, 4)

@@ -172,6 +172,38 @@ class TestStepAndSolve:
             FracOrders(0.5, 1.0)
 
 
+class TestExactSemiDiscreteSolution:
+    """The multi-node stepper against the exact solution of the system it discretizes in time.
+
+    For time-independent f, D^alpha (u - u0) + A u = f has the exact solution
+    u(t) = A^-1 f + Q E_alpha(-Lambda t^alpha) Q^T (u0 - A^-1 f), A = Q Lambda Q^T
+    (eigh): an oracle that shares no code with the history sum.  At fixed t
+    the L1 error of such data falls as tau^1 (Jin, Lazarov & Zhou, IMA J.
+    Numer. Anal. 36:197, 2016); a history sum that dropped or misplaced a
+    push would show in the orders at M >= 256, where pushes of 256 states start.
+    """
+
+    LEVELS = (32, 64, 128, 256, 512, 1024)
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_first_order_in_time(self, alpha, beta):
+        grid = SpaceGrid(-1.0, 1.0, 64)
+        x = grid.nodes()
+        u0, f = np.maximum(0.0, 1.0 - x**2), 0.1 * (1.0 + np.cos(np.pi * x))
+        A = assemble_1d(grid, beta).entries
+        lam, Q = np.linalg.eigh(A)
+        steady = np.linalg.solve(A, f)
+        exact = steady + Q @ (np.array([mittag_leffler(alpha, -v) for v in lam]) * (Q.T @ (u0 - steady)))
+        errors = []
+        for M in self.LEVELS:
+            states = l1_stepper(alpha, beta, grid, TimeMesh(1.0, M))(u0[None], np.tile(f, (M + 1, 1, 1)))
+            errors.append(np.max(np.abs(states[-1, 0] - exact)) / np.max(np.abs(exact)))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert errors[0] < 0.03, errors
+        assert np.all((orders[1:] >= 0.95) & (orders[1:] <= 1.1)), orders
+
+
 def l1_reference(problem, A):
     """Step-by-step L1 stepping, one history GEMV per step and the
     library's inverse and step product: the oracle for the dyadic history
@@ -479,8 +511,11 @@ class TestStatesOverForcing:
     def test_refuses_samples_it_cannot_overwrite(self):
         grid, mesh, u0, F = TestManyColumns.data(16, 4, 8, seed=15)
         step = l1_stepper(0.5, 0.6, grid, mesh)
-        for bad, K in ((F.astype(np.float32), 4), (F[:, ::2], 2), (F.transpose(0, 2, 1).copy(), 4)):
-            with pytest.raises(ValueError, match="^forcing must be float64 of shape"):
+        for bad, K, got in ((F.astype(np.float32), 4, "float32 of shape (9, 4, 16)"),
+                            (F[:, ::2], 2, "float64 of shape (9, 2, 16)"),
+                            (F.transpose(0, 2, 1).copy(), 4, "float64 of shape (9, 16, 4)"),
+                            (F.tolist(), 4, "list")):
+            with pytest.raises(ValueError, match="^forcing must be float64 of shape .*, got " + re.escape(got) + "$"):
                 step(u0[:K], bad)
         # A column slice reshapes to rows without a copy: it is overwritten.
         col = step(u0[1:2], F[:, 1:2])
