@@ -56,8 +56,10 @@ with X = B_11^{-1}, N = -B_12 >= 0, S = B_22 - N^T (XN) and Y = S^{-1},
 
     G = [[X + (XN) Y (XN)^T, (XN) Y], [Y (XN)^T, Y]],
 
-X and Y inverted the same way, down to 1 x 1 blocks [b], b > 0, whose
-inverse is 1 / b.  The sign argument:
+X and Y inverted the same way, down to 2 x 2 blocks (in scalars) and 1 x 1
+blocks [b], b > 0, whose inverse is 1 / b.  As B is symmetric Toeplitz,
+G = JGJ (J the reversal; Golub & Van Loan, Matrix Computations, 4.7), so
+at the top G's left half is its right half reversed.  The sign argument:
 
 - The off-diagonal entries of A are <= 0 (l1_stepper checks them).  The
   buffer first holds 0 - B, a subtraction from +0.0, so its off-diagonal
@@ -68,15 +70,15 @@ inverse is 1 / b.  The sign argument:
   nonnegative product.  The buffer holds -S = -B_22 + (N^T X) N, a
   nonnegative number plus a nonnegative one.
 - A 1 x 1 block holds -b < 0 and becomes -1 / -b = 1 / b > 0.
-- Every block of G is a sum of products of nonnegatives.  No product is
-  negated afterwards (-(+0.0) is -0.0), so G has no negative entry and no
-  -0.0.
+- Every block of G is a sum of products of nonnegatives, or at the top
+  a copy of such entries.  No product is negated afterwards (-(+0.0) is
+  -0.0), so G has no negative entry and no -0.0.
 
 Positivity is therefore exact, with no clamping: each history term is a
 positive weight times a nonnegative state, in any order, and G maps a
 nonnegative right-hand side to a nonnegative state by sums of products of
 nonnegatives.  The price (Higham, ch. 14): the relative step residual is
-1.1-1.4 times that of solving with a Cholesky factor (README).
+1.2-1.4 times that of solving with a Cholesky factor (README).
 
 Also here: the mollified weak-form residual and the CSV and metadata
 serialization of a Solution.
@@ -282,32 +284,50 @@ def l1_stepper(
 
 
 def _inverse(B: np.ndarray) -> None:
-    """Overwrite the M-matrix B with its inverse, which is >= 0 entrywise.
+    """Overwrite the symmetric Toeplitz M-matrix B with its inverse, > 0 entrywise.
 
-    The inverse is formed in B itself by the sign-safe Schur-complement
-    recursion of the module docstring.  The only scratch is one product
-    block of at most (n/2)^2 entries at a time: N^T X goes into the B_21
-    slot, which symmetry leaves free.
+    It is formed in B by the recursion of the module docstring, its left half
+    from G = JGJ at the top only: lower down, Y's rounding would reach X at
+    every level.  The only scratch is one product block of at most (n/2)^2
+    entries at a time: N^T X goes into the B_21 slot, which symmetry frees.
     """
     np.subtract(0.0, B, out=B)
-    _sweep(B)
+    n, k = B.shape[0], B.shape[0] // 2
+    if n < 3:
+        _sweep(B)
+        return
+    _right_half(B)
+    B[:k, :k] = B[n - k :, n - k :][::-1, ::-1]
+    B[k:, :k] = B[: n - k, n - k :][::-1, ::-1]
 
 
 def _sweep(H: np.ndarray) -> None:
-    """Turn H = -B, B an M-matrix, into B^{-1} in place."""
-    n = H.shape[0]
-    if n == 1:
+    """Turn H = -B, B a symmetric M-matrix (Toeplitz or not), into B^{-1} in place."""
+    if H.shape[0] == 1:
         np.divide(-1.0, H, out=H)  # H = -b < 0
         return
-    k = n // 2
+    if H.shape[0] == 2:  # _right_half and the lines below on scalars, reading N = c, never B_21
+        (a, c), (_, e) = H.tolist()
+        x = -1.0 / a  # X
+        cx = c * x  # N^T X
+        y = -1.0 / (e + cx * c)  # Y
+        H[...] = ((x + cx * y * cx, cx * y), (cx * y, y))
+        return
+    H11, H12, H21 = _right_half(H)
+    H11 += H12 @ H21  # X + (XN) Y (XN)^T
+    H21[...] = H12.T
+
+
+def _right_half(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Form B^{-1}'s right half in H = -B, n >= 3; return the blocks 11, 12 and 21."""
+    k = H.shape[0] // 2
     H11, H12, H21, H22 = H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:]
     _sweep(H11)  # X; H12 holds N
     np.matmul(H12.T, H11, out=H21)  # N^T X
     H22 += H21 @ H12  # -S
     _sweep(H22)  # Y
     np.matmul(H21.T, H22, out=H12)  # (XN) Y
-    H11 += H12 @ H21  # X + (XN) Y (XN)^T
-    H21[...] = H12.T
+    return H11, H12, H21
 
 
 def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:

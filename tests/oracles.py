@@ -7,8 +7,9 @@ binomial weights, the randomized trials run one solve per trial with
 each trial's forcing a scalar-t closure of its own draws, sampled step
 by step, the mollified weak residual with one discrete convolution per
 node, the expression language's postfix programs run one scalar (x, t)
-at a time with Python's math module, and the printer whose output
-parses back to the same program.
+at a time with Python's math module, the printer whose output parses
+back to the same program, and the Schur-complement inverse that forms
+every block down to 1 x 1 and copies none.
 """
 
 import math
@@ -162,6 +163,31 @@ def weak_residual_reference(sol: Solution, psi: Field, m: int, n: int) -> float:
     term_form = bilinear_a(Field(problem.grid, hu_n), psi, problem.orders.beta)
     term_load = h * float(psi.values @ hf_n)
     return term_time + term_form - term_load
+
+
+def inverse_reference(B: np.ndarray) -> np.ndarray:
+    """The inverse of the M-matrix B by the sign-safe Schur-complement
+    recursion of ``solver``, with every block formed: 1 x 1 leaves, and no
+    left half copied from the right half."""
+
+    def sweep(H):  # H = -B into B^{-1}
+        n = H.shape[0]
+        if n == 1:
+            np.divide(-1.0, H, out=H)
+            return
+        k = n // 2
+        H11, H12, H21, H22 = H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:]
+        sweep(H11)
+        np.matmul(H12.T, H11, out=H21)
+        H22 += H21 @ H12
+        sweep(H22)
+        np.matmul(H21.T, H22, out=H12)
+        H11 += H12 @ H21
+        H21[...] = H12.T
+
+    G = np.subtract(0.0, B)
+    sweep(G)
+    return G
 
 
 def _pow(a: float, b: float) -> float:

@@ -19,6 +19,7 @@ from scipy.linalg import lapack
 
 from tsfrac.fraclap import Field, SpaceGrid, assemble_1d
 from tsfrac.kernels import TimeMesh, mittag_leffler
+from tsfrac import solver
 from tsfrac.principles import check_nonnegativity
 from tsfrac.solver import (
     FracOrders,
@@ -35,7 +36,7 @@ from tsfrac.solver import (
 )
 from tsfrac.timefrac import l1_weights
 
-from oracles import gl_weights, weak_residual_reference
+from oracles import gl_weights, inverse_reference, weak_residual_reference
 
 ZERO_F = lambda x, t: np.zeros_like(x)
 ONE_NODE = SpaceGrid(-1.0, 1.0, 1)
@@ -354,9 +355,15 @@ class TestInverseStep:
     def check_inverse(cases):
         # Positivity is exact because every entry of the inverse is a sum of
         # products of nonnegatives: no negative entry, and no -0.0.  The
-        # worst residual over the cases is held to twice the worst of
-        # LAPACK's Cholesky-based inverse (case by case both are a few ulps,
-        # and LAPACK's is exactly 0 for some 1 x 1 matrices).
+        # inverse of an irreducible M-matrix is strictly positive, and so is
+        # G.  B is symmetric Toeplitz, so G = JGJ, and the left half of G is
+        # a copy of its right half, reversed.  G is the plain recursion's
+        # inverse bit for bit up to n = 2; beyond, the two differ by the
+        # rounding of either, at most 8 eps cond_1(B) max G (measured:
+        # 2.9 eps).  The worst residual over the cases is held to
+        # twice the worst of LAPACK's Cholesky-based inverse (case by case
+        # both are a few ulps, and LAPACK's is exactly 0 for some 1 x 1
+        # matrices).
         ours, theirs = [], []
         for n, alpha, beta, M in cases:
             B = m_matrix(n, alpha, beta, M)
@@ -364,6 +371,13 @@ class TestInverseStep:
             _inverse(G)
             assert not np.any(G < 0.0), (alpha, M)
             assert not np.any(np.signbit(G)), (alpha, M)
+            assert G.min() > 0.0, (alpha, M)
+            k = n // 2
+            assert n < 3 or np.array_equal(G[:, :k], G[::-1, ::-1][:, :k]), (alpha, M)
+            ref = inverse_reference(B)
+            cond = np.abs(B).sum(axis=0).max() * G.sum(axis=0).max()  # cond_1(B), as G >= 0
+            assert n > 2 or np.array_equal(G, ref), (alpha, M)
+            assert np.max(np.abs(G - ref)) <= 8 * np.finfo(float).eps * cond * G.max(), (alpha, M)
             eye = np.eye(n)
             ours.append(np.max(np.abs(B @ G - eye)))
             theirs.append(np.max(np.abs(B @ lapack_inverse(B) - eye)))
@@ -376,6 +390,40 @@ class TestInverseStep:
 
     def test_sign_premise_at_wide_grid(self):
         self.check_inverse([(2048, 0.05, 0.95, 4096)])
+
+    @pytest.mark.parametrize("n", [3, 128, 255, 1024, 2048])
+    def test_matches_plain_recursion_at_readme_orders(self, n):
+        # At alpha = beta = 1/2 and M = 256, cond_1(B) is at most 154, and
+        # copying the left half moves no entry of G by 1e-14 of max G.
+        B = m_matrix(n, 0.5, 0.5, 256)
+        G = B.copy()
+        _inverse(G)
+        assert np.max(np.abs(G - inverse_reference(B))) <= 1e-14 * G.max()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 17, 128, 255, 1000])
+    def test_recursion_is_the_plain_one_bit_for_bit(self, n):
+        # Below the top, the 2 x 2 blocks in scalars take the numpy steps
+        # of 1 x 1 leaves in the same order, reading B_12 as those do.
+        for alpha, beta, M in ((0.5, 0.5, 256), (0.05, 0.99, 65536), (0.99, 0.05, 1)):
+            B = m_matrix(n, alpha, beta, M)
+            H = np.subtract(0.0, B)
+            solver._sweep(H)
+            assert np.array_equal(H, inverse_reference(B)), (alpha, beta, M)
+
+    @pytest.mark.parametrize("n", [128, 255, 2048])
+    def test_recursion_ends_at_two_by_two_blocks(self, n, monkeypatch):
+        # With 1 x 1 leaves the recursion is entered 2n - 1 times; ending it
+        # at 2 x 2 blocks in scalars brings that under n.
+        calls = []
+        sweep = solver._sweep
+
+        def counting_sweep(H):
+            calls.append(H.shape[0])
+            sweep(H)
+
+        monkeypatch.setattr(solver, "_sweep", counting_sweep)
+        _inverse(m_matrix(n, 0.5, 0.5, 256))
+        assert len(calls) < n, len(calls)
 
     def test_inverse_peak_memory_is_a_quarter_matrix(self):
         # In place: the scratch is one (n/2)^2 product block at a time, so
