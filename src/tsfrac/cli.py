@@ -46,6 +46,17 @@ _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,6
 _MEMORY_BUDGET = 2 * 2**30
 _TRIAL_BYTES = 2**10
 _MAX_INT = int(sys.float_info.max)  # largest m that is still a finite float
+# verify's suites in the order of --suite all: (principles trial kind, None for
+# _verify_identities; the principles check of the configured profile, looked up
+# by name at each call, or None; the config error when its hypotheses fail).
+_SUITES = {
+    "nonneg": ("nonneg", "check_nonnegativity", "nonnegativity check demands u0 >= 0 and f >= 0; "
+               "the configured expressions sample negative values"),
+    "boundary": ("boundary-min", "check_parabolic_boundary", "parabolic-boundary (min) check "
+                 "demands f >= 0; the configured expression samples negative values"),
+    "weak": ("weak-nonneg", None, None),
+    "identities": (None, None, None),
+}
 
 
 class ConfigError(ValueError):
@@ -256,26 +267,19 @@ def _verify_identities(config: RunConfig) -> dict:
     mesh = config.mesh
     tau = mesh.tau
     k = kernels.monotone_regularized_kernel(config.alpha, config.m, mesh)
+    breaks = np.linspace(0, mesh.M, 8).astype(int)
     failures = 0
     worst = 0.0
     for _ in range(config.trials):
-        breaks = np.linspace(0, mesh.M, 8).astype(int)
         u = np.interp(np.arange(mesh.M + 1), breaks, rng.uniform(-1, 1, 8))
-        verdicts = timefrac.convex_inequality_check(u, k, tau)
-        if not verdicts.all_ok():
+        if not timefrac.convex_inequality_check(u, k, tau).all_ok():
             failures += 1
-        n0 = int(np.argmax(u))
-        if n0 >= 1:
-            val, ok = timefrac.rl_extremum_sign(u, tau, config.alpha, n0, "max")
-            if not ok:
-                failures += 1
-                worst = max(worst, -val)
-        n0 = int(np.argmin(u))
-        if n0 >= 1:
-            val, ok = timefrac.rl_extremum_sign(u, tau, config.alpha, n0, "min")
-            if not ok:
-                failures += 1
-                worst = max(worst, val)
+        for mode, n0 in (("max", int(np.argmax(u))), ("min", int(np.argmin(u)))):
+            if n0 >= 1:
+                val, ok = timefrac.rl_extremum_sign(u, tau, config.alpha, n0, mode)
+                if not ok:
+                    failures += 1
+                    worst = max(worst, -val if mode == "max" else val)
     return {
         "kind": "identities",
         "status": "pass" if failures == 0 else "fail",
@@ -289,38 +293,27 @@ def _verify_identities(config: RunConfig) -> dict:
 
 def cmd_verify(config: RunConfig, suite: str, out_override: str | None = None) -> int:
     out = _outdir(config, out_override)
-    suites = ("nonneg", "boundary", "weak", "identities") if suite == "all" else (suite,)
-    trial_kind = {"nonneg": "nonneg", "boundary": "boundary-min", "weak": "weak-nonneg"}
+    suites = list(_SUITES) if suite == "all" else [suite]
     # The configured (u0, f) profile is checked deterministically by the
-    # nonneg and boundary suites; both use this one solve.  Data that break
+    # suites that name a check; all use this one solve.  Data that break
     # a theorem's hypotheses are a config error, not a failed check.
-    sol = solver.solve(config.problem()) if {"nonneg", "boundary"} & set(suites) else None
+    sol = solver.solve(config.problem()) if any(_SUITES[s][1] for s in suites) else None
     report: dict = {}
     any_fail = False
     for s in suites:
+        kind, check, hypotheses = _SUITES[s]
         entry: dict = {}
-        if s == "nonneg":
-            profile = principles.check_nonnegativity(sol.states, sol.forcing)
+        if check:
+            profile = getattr(principles, check)(sol.states, sol.forcing)
             if profile.status == "hypotheses-violated":
-                raise ConfigError(
-                    "nonnegativity check demands u0 >= 0 and f >= 0; "
-                    "the configured expressions sample negative values"
-                )
-        elif s == "boundary":
-            profile = principles.check_parabolic_boundary(sol.states, sol.forcing)
-            if profile.status == "hypotheses-violated":
-                raise ConfigError(
-                    "parabolic-boundary (min) check demands f >= 0; "
-                    "the configured expression samples negative values"
-                )
-        if s in ("nonneg", "boundary"):
+                raise ConfigError(hypotheses)
             entry["configured_profile"] = profile.to_json_dict()
             any_fail |= profile.status != "pass"
-        if s == "identities":
+        if kind is None:
             entry["trials"] = _verify_identities(config)
         else:
             tc = principles.TrialConfig(
-                kind=trial_kind[s],
+                kind=kind,
                 trials=config.trials,
                 seed=config.seed,
                 alphas=(config.alpha,),
@@ -484,7 +477,7 @@ def main(argv=None) -> int:
             p.add_argument(
                 "--suite",
                 default="all",
-                choices=("nonneg", "boundary", "weak", "identities", "all"),
+                choices=(*_SUITES, "all"),
             )
     try:
         args = parser.parse_args(argv)

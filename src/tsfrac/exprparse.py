@@ -10,9 +10,12 @@ Grammar (EBNF):
 
 Precedence: ^  >  unary -  >  * /  >  + -.  Known names: sin, cos, exp,
 abs, sqrt (unary) and max, min (binary); the only variables are x and t.
-NUMBER is ASCII digits only.  Parsing is total: any string either parses
-or raises ParseError with the character offset and the expected-token
-set; that includes nesting deeper than MAX_DEPTH.
+The tokens come from one pattern whose number is the NUMBER rule: ASCII
+digits, an optional "." fraction, an e/E exponent only with digits.  The
+binary levels, expr and term, are one loop over one table.  Parsing is
+total: any string either parses or raises ParseError with the character
+offset and the expected-token set; that includes nesting deeper than
+MAX_DEPTH.
 
 ``parse`` compiles a string into a postfix program: a tuple whose items
 are number literals (floats), "x", "t", the operators + - * / ^, "neg"
@@ -29,6 +32,8 @@ exp and log, which may differ from the C library's in the last bits.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = [
@@ -42,7 +47,9 @@ __all__ = [
 
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "sqrt": 1, "max": 2, "min": 2}
 VARIABLES = ("x", "t")
-MAX_DEPTH = 100  # parentheses, call arguments and exponents; far below the recursion limit
+# Parentheses, call arguments and exponents.  A level of parentheses or calls takes
+# 5 frames, an exponent 3: MAX_DEPTH parentheses take 507, far below the recursion limit.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -58,52 +65,27 @@ class ParseError(ValueError):
 Expr = tuple  # a postfix program; see the module docstring
 
 
-_OPS = "+-*/^(),"
+# After optional whitespace: a NUMBER, a name, an operator, the end, or a bad
+# character.  \w+ also matches "²x" and "٣": a name must start with a letter or "_".
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>\w+)|(?P<op>[-+*/^(),])|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
+# The binary operators' precedence levels; all are left-associative.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _tokenize(src: str) -> list:
     """The (kind, text, offset) triples of src; kinds: num, name, op, end."""
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9" or (ch == "." and i + 1 < n and "0" <= src[i + 1] <= "9"):
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and "0" <= src[j] <= "9":
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and "0" <= src[k] <= "9":
-                    j = k
-                    while j < n and "0" <= src[j] <= "9":
-                        j += 1
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m[m.lastgroup]
+        if kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", m.start(kind))
+        tokens.append((kind, text, m.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
@@ -123,7 +105,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def accept(self, ops: str):
+    def accept(self, ops):
         """Consume and return the next token if it is one of the operators in ops."""
         kind, text, _ = self.peek()
         return self.advance() if kind == "op" and text in ops else None
@@ -142,16 +124,15 @@ class _Parser:
         return tuple(self.out)
 
     def expr(self) -> None:
-        self.term()
-        while tok := self.accept("+-"):
-            self.term()
-            self.out.append(tok[1])
-
-    def term(self) -> None:
+        """Unaries joined by _LEVEL's operators; each waits until the next binds no tighter."""
+        waiting = []
         self.unary()
-        while tok := self.accept("*/"):
+        while tok := self.accept(_LEVEL):
+            while waiting and _LEVEL[waiting[-1]] >= _LEVEL[tok[1]]:
+                self.out.append(waiting.pop())
+            waiting.append(tok[1])
             self.unary()
-            self.out.append(tok[1])
+        self.out += reversed(waiting)
 
     def unary(self) -> None:
         negs = 0

@@ -8,8 +8,9 @@ each trial's forcing a scalar-t closure of its own draws, sampled step
 by step, the mollified weak residual with one discrete convolution per
 node, the expression language's postfix programs run one scalar (x, t)
 at a time with Python's math module, the printer whose output parses
-back to the same program, and the Schur-complement inverse that forms
-every block down to 1 x 1 and copies none.
+back to the same program, the expression scanner written character by
+character, and the Schur-complement inverse that forms every block down
+to 1 x 1 and copies none.
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from tsfrac.exprparse import Expr
+from tsfrac.exprparse import Expr, ParseError
 
 from tsfrac.fraclap import Field, bilinear_a, normalization_constant
 from tsfrac.principles import PrincipleReport, TrialConfig, check_nonnegativity, check_parabolic_boundary
@@ -188,6 +189,56 @@ def inverse_reference(B: np.ndarray) -> np.ndarray:
     G = np.subtract(0.0, B)
     sweep(G)
     return G
+
+
+def tokenize_reference(src: str) -> list:
+    """The (kind, text, offset) triples of src, scanned one character at a time.
+
+    Kinds: num, name, op, end.  A number is ASCII digits with an optional
+    "." fraction and an e/E exponent taken only when it has digits; a name
+    starts with a letter or "_" and goes on over letters, digits and "_".
+    """
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9" or (ch == "." and i + 1 < n and "0" <= src[i + 1] <= "9"):
+            j = i
+            while j < n and "0" <= src[j] <= "9":
+                j += 1
+            if j < n and src[j] == ".":
+                j += 1
+                while j < n and "0" <= src[j] <= "9":
+                    j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and "0" <= src[k] <= "9":
+                    j = k
+                    while j < n and "0" <= src[j] <= "9":
+                        j += 1
+            tokens.append(("num", src[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^(),":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
 
 
 def _pow(a: float, b: float) -> float:

@@ -132,6 +132,29 @@ class TestVerifyCommand:
             blobs.append((out / "verify_report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_each_suite_writes_its_entry_of_all(self, tmp_path):
+        # n = M = 16: --suite s writes what --suite all writes for s, its
+        # trials are of its own kind, and only nonneg and boundary check
+        # the configured profile, each with its own check
+        cfg = write_config(tmp_path, {"M": 16})
+        kinds = {"nonneg": "nonneg", "boundary": "boundary-min", "weak": "weak-nonneg",
+                 "identities": "identities"}
+        reports = {}
+        for suite in ("all", *kinds):
+            out = tmp_path / suite
+            assert main(["verify", "--config", str(cfg), "--suite", suite, "--out", str(out)]) == 0
+            reports[suite] = json.loads((out / "verify_report.json").read_text())
+        every = reports.pop("all")
+        assert set(every) == {*kinds, "config_hash"}
+        for suite, report in reports.items():
+            assert report == {suite: every[suite], "config_hash": every["config_hash"]}
+            assert every[suite]["trials"]["kind"] == kinds[suite]
+            profile = every[suite].get("configured_profile")
+            if suite in ("nonneg", "boundary"):
+                assert profile["kind"] == kinds[suite] and profile["status"] == "pass"
+            else:
+                assert profile is None
+
     def test_sign_violating_profile_is_usage_error(self, tmp_path, capsys):
         # nonneg demands u0 >= 0 and f >= 0, boundary (min) demands f >= 0;
         # each configured profile below dips negative where its suite looks

@@ -3,14 +3,15 @@
 import math
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsfrac.exprparse import FUNCTIONS, MAX_DEPTH, ParseError, evaluate, parse
+from tsfrac.exprparse import FUNCTIONS, MAX_DEPTH, ParseError, _tokenize, evaluate, parse
 
-from oracles import to_str
+from oracles import to_str, tokenize_reference
 
 GOLDEN = [
     "1 - x^2",
@@ -82,6 +83,11 @@ class TestParsePrecedence:
         e = parse("1 + 2*3")
         assert e == (1.0, 2.0, 3.0, "*", "+") and evaluate(e, 0, 0) == 7.0
 
+    def test_each_binary_operator_at_its_level(self):
+        assert parse("1 - 2*3") == (1.0, 2.0, 3.0, "*", "-")
+        assert parse("1/2 - 3") == (1.0, 2.0, "/", 3.0, "-")
+        assert parse("1 - 2/3 + 4*5 - 6") == (1.0, 2.0, 3.0, "/", "-", 4.0, 5.0, "*", "+", 6.0, "-")
+
     def test_left_associative_subtraction(self):
         assert evaluate(parse("1 - 2 - 3 - 4"), 0, 0) == -8.0
 
@@ -135,6 +141,41 @@ class TestParseErrors:
             except ParseError:
                 pass
         assert parsed > 0  # some random strings are valid
+
+
+class TestTokenize:
+    # Letters, digits, operators and the characters where the pattern and
+    # the character scanner could part: \w admits the numerics ² ½ Ⅷ ٣ and
+    # the letters 三 é, and \s and str.isspace must agree on \xa0 and \x1c.
+    ALPHABET = ("xtsinmaqrpcob" + string.digits + "+-*/^(),eE._" + " \t\n\xa0\x1c\x00$"
+                + "²½Ⅷ٣三é")
+
+    @staticmethod
+    def scan(tokenize, src):
+        try:
+            return tokenize(src)
+        except ParseError as e:
+            return str(e), e.offset, e.expected
+
+    def test_matches_the_character_scanner(self):
+        rng = random.Random(33)
+        errors = 0
+        for _ in range(100_000):
+            src = "".join(rng.choice(self.ALPHABET) for _ in range(rng.randrange(0, 12)))
+            got = self.scan(_tokenize, src)
+            assert got == self.scan(tokenize_reference, src), src
+            errors += isinstance(got, tuple)
+        assert 0 < errors < 100_000  # both outcomes are exercised
+
+    @pytest.mark.parametrize("ch", "²½Ⅷ٣")
+    def test_name_cannot_start_with_a_numeric(self, ch):
+        with pytest.raises(ParseError, match=f"unexpected character '{ch}' at offset 2"):
+            _tokenize("x*" + ch + "x")
+        assert _tokenize("x" + ch) == [("name", "x" + ch, 0), ("end", "", 2)]
+
+    def test_numbers(self):
+        assert [t[1] for t in _tokenize("1.e5 .5e+x 2.5E-3 7e")] == [
+            "1.e5", ".5", "e", "+", "x", "2.5E-3", "7", "e", ""]
 
 
 def _programs():
@@ -238,6 +279,32 @@ class TestNestingLimit:
         assert parse("-" * 900 + "x") == ("x",) + ("neg",) * 900
         assert evaluate(parse("-" * 900 + "x"), 2.0, 0.0) == 2.0
         assert evaluate(parse("-" * 901 + "x"), 2.0, 0.0) == -2.0
+
+    @pytest.mark.parametrize("src", [
+        "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "sin(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+        "^".join(["x"] * (MAX_DEPTH + 1)),
+        "1 + 2*(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    ], ids=["parentheses", "calls", "exponents", "sums-of-products"])
+    def test_nesting_at_the_limit_takes_at_most_six_frames_a_level(self, src):
+        # 507 frames for MAX_DEPTH parentheses (5 a level); one frame per precedence level took 608
+        depth = deepest = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, deepest
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            parse(src)
+        finally:
+            sys.setprofile(outer)
+        assert deepest <= 6 * MAX_DEPTH + 10
 
     def test_parenthesized_minus_chain_never_crashes(self):
         src = "(" * 150 + "-" * 300 + "x" + ")" * 150
