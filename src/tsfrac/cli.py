@@ -36,7 +36,7 @@ _TYPES = {
 _DEFAULTS = {"m": 16, "trials": 20, "seed": 0, "out": "out", "m_ladder": "4,16,64,256"}
 # Most bytes a config's solve may be estimated to need, checked before
 # anything is allocated: two n x n matrices (the one buffer that holds A,
-# then b_0 I + A, then its inverse, and its quarter-matrix scratch, with
+# then b_0 I + A, then its inverse, and its scratch, at most n^2/4, with
 # room to spare), plus the sampled forcing and the copy of it that the
 # stepper overwrites with the states ((M+1) x n each).  verify's trials run
 # in batches of at most 4 MiB of forcing samples, or one trial at a time,
@@ -254,7 +254,8 @@ def _outdir(config: RunConfig, override: str | None) -> Path:
 def cmd_solve(config: RunConfig, out_override: str | None = None) -> int:
     out = _outdir(config, out_override)
     sol = solver.solve(config.problem())
-    (out / "solution.csv").write_text(solver.solution_to_csv(sol))
+    with (out / "solution.csv").open("w") as fh:
+        fh.writelines(solver.solution_csv_rows(sol))
     meta = solver.solution_metadata(sol, solver.config_hash(config.raw))
     (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"solve: wrote {out / 'solution.csv'} and {out / 'metadata.json'}")

@@ -89,7 +89,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,11 +106,13 @@ __all__ = [
     "l1_stepper",
     "weak_residual",
     "solution_to_csv",
+    "solution_csv_rows",
     "solution_metadata",
 ]
 
 _BLOCK = 256  # states per history product; longer pushes run as several
 _PULL = 16  # steps per block; each step pulls the earlier states of its block itself
+_SCHUR_ROWS = 512  # rows of -S per product, so the scratch beside -S is at most 512 x n/2
 
 
 @dataclass(frozen=True)
@@ -288,8 +290,11 @@ def _inverse(B: np.ndarray) -> None:
 
     It is formed in B by the recursion of the module docstring, its left half
     from G = JGJ at the top only: lower down, Y's rounding would reach X at
-    every level.  The only scratch is one product block of at most (n/2)^2
-    entries at a time: N^T X goes into the B_21 slot, which symmetry frees.
+    every level.  The only scratch is one product block at a time: N^T X goes
+    into the B_21 slot, which symmetry frees, and -S takes its product
+    _SCHUR_ROWS rows at a time, so a block holds at most min(n/2, 512) x n/2
+    entries at the top and (n/4)^2 below: a quarter of B up to n = 1024,
+    max(256/n, 1/16) of it above.
     """
     np.subtract(0.0, B, out=B)
     n, k = B.shape[0], B.shape[0] // 2
@@ -324,7 +329,8 @@ def _right_half(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     H11, H12, H21, H22 = H[:k, :k], H[:k, k:], H[k:, :k], H[k:, k:]
     _sweep(H11)  # X; H12 holds N
     np.matmul(H12.T, H11, out=H21)  # N^T X
-    H22 += H21 @ H12  # -S
+    for i in range(0, H22.shape[0], _SCHUR_ROWS):
+        H22[i : i + _SCHUR_ROWS] += H21[i : i + _SCHUR_ROWS] @ H12  # -S
     _sweep(H22)  # Y
     np.matmul(H21.T, H22, out=H12)  # (XN) Y
     return H11, H12, H21
@@ -372,12 +378,16 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
 
 def solution_to_csv(sol: Solution) -> str:
     """Serialize as CSV rows t, x, u with 17 significant digits."""
-    lines = ["t,x,u"]
+    return "".join(solution_csv_rows(sol))
+
+
+def solution_csv_rows(sol: Solution) -> Iterator[str]:
+    """solution_to_csv in pieces: the header, then the n lines of each time level."""
+    yield "t,x,u\n"
     xs = [f",{x:.17g}," for x in sol.problem.grid.nodes().tolist()]
     for t, us in zip(sol.problem.mesh.times().tolist(), sol.states):
         ts = f"{t:.17g}"
-        lines += [f"{ts}{x}{u:.17g}" for x, u in zip(xs, us.tolist())]
-    return "\n".join(lines) + "\n"
+        yield "".join([f"{ts}{x}{u:.17g}\n" for x, u in zip(xs, us.tolist())])
 
 
 def solution_metadata(sol: Solution, config_hash: str = "") -> dict:

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tsfrac import solver
 from tsfrac.cli import ConfigError, _study, load_config, main
 from tsfrac.fraclap import assemble_1d
 
@@ -101,6 +103,23 @@ class TestSolveCommand:
         out = tmp_path / "run"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "solution.csv").exists()
+
+    def test_streams_solution_csv(self, tmp_path, monkeypatch):
+        # solution.csv goes out one time level at a time: writing it holds
+        # O(n) strings, where the whole text (115 MB at n = 128, M = 4096)
+        # is about 27 times the states.  The solve runs before tracing.
+        cfg = write_config(tmp_path, {"n": 128, "M": 4096})
+        sol = solver.solve(load_config(cfg).problem())
+        monkeypatch.setattr(solver, "solve", lambda problem: sol)
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+        assert (out / "solution.csv").read_bytes() == solver.solution_to_csv(sol).encode()
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path)
