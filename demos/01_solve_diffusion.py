@@ -8,7 +8,7 @@ tail rather than the exponential rate of classical heat flow.
 import numpy as np
 
 from tsfrac import Field, FracOrders, ProblemSpec, SpaceGrid, TimeMesh, solve
-from tsfrac.solver import solution_to_csv
+from tsfrac.solver import solution_csv_rows
 
 orders = FracOrders(alpha=0.6, beta=0.7)
 grid = SpaceGrid(-1.0, 1.0, 127)
@@ -33,7 +33,7 @@ print(f"\npeak decay ratio over one doubling, early vs late: {early:.3f} vs {lat
 print("(classical diffusion would keep that ratio fixed; memory slows it down)")
 
 with open("demo_solution.csv", "w") as fh:
-    fh.write(solution_to_csv(sol))
+    fh.writelines(solution_csv_rows(sol))
 print("wrote demo_solution.csv (columns t, x, u)")
 
 try:

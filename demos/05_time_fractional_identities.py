@@ -4,8 +4,11 @@ Two layers of structure, each checked numerically below:
 
 * the L1 derivative agrees with the Grunwald-Letnikov sum on smooth signals;
 * at a discrete global maximum the fractional derivative of u - u(0) is
-  nonnegative, and the convex-part inequalities hold exactly for any
+  nonnegative, and the (u+)^2 convex-part inequality holds exactly for any
   nonnegative nonincreasing kernel.
+
+Each check is stated for one sign; the other sign is the same check on -u:
+a minimum of u is a maximum of -u, and (-u)+ = u- gives the (u-)^2 inequality.
 """
 
 import numpy as np
@@ -30,10 +33,13 @@ M2 = 512
 tau2 = 2.0 / M2
 u2 = (tau2 * np.arange(M2 + 1)) * (2.0 - tau2 * np.arange(M2 + 1))
 n0 = int(np.argmax(u2))
-val, ok = rl_extremum_sign(u2, tau2, alpha, n0, "max")
+val, ok = rl_extremum_sign(u2, tau2, alpha, n0)
 print(f"  derivative at the max: {val:+.4f} (>= 0: {ok})")
+# the min u(2) = u(0) = 0 is a max of -u, where the derivative of -u is the negated one
+val, ok = rl_extremum_sign(-u2, tau2, alpha, M2)
+print(f"  derivative at the min: {-val:+.4f} (<= 0: {ok})")
 
-print("\nconvex-part inequalities on 50 random trajectories, monotone kernel m = 8:")
+print("\n(u+)^2 and (u-)^2 inequalities on 50 random trajectories, monotone kernel m = 8:")
 mesh = TimeMesh(1.0, 128)
 k = monotone_regularized_kernel(alpha, 8, mesh)
 rng = np.random.default_rng(0)
@@ -41,5 +47,6 @@ all_ok = True
 for _ in range(50):
     breaks = np.linspace(0, 128, 8).astype(int)
     traj = np.interp(np.arange(129), breaks, rng.uniform(-1, 1, 8))
-    all_ok &= convex_inequality_check(traj, k, mesh.tau).all_ok()
+    for s in (traj, -traj):
+        all_ok &= bool(np.all(convex_inequality_check(s, k, mesh.tau)))
 print(f"  all verdicts pass at 1e-10 relative tolerance: {all_ok}")

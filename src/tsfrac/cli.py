@@ -273,14 +273,15 @@ def _verify_identities(config: RunConfig) -> dict:
     worst = 0.0
     for _ in range(config.trials):
         u = np.interp(np.arange(mesh.M + 1), breaks, rng.uniform(-1, 1, 8))
-        if not timefrac.convex_inequality_check(u, k, tau).all_ok():
-            failures += 1
-        for mode, n0 in (("max", int(np.argmax(u))), ("min", int(np.argmin(u)))):
+        # the (u-)^2 and min checks are the (u+)^2 and max checks on -u
+        failures += not all(timefrac.convex_inequality_check(s, k, tau).all() for s in (u, -u))
+        for s in (u, -u):
+            n0 = int(np.argmax(s))
             if n0 >= 1:
-                val, ok = timefrac.rl_extremum_sign(u, tau, config.alpha, n0, mode)
+                val, ok = timefrac.rl_extremum_sign(s, tau, config.alpha, n0)
                 if not ok:
                     failures += 1
-                    worst = max(worst, -val if mode == "max" else val)
+                    worst = max(worst, -val)
     return {
         "kind": "identities",
         "status": "pass" if failures == 0 else "fail",

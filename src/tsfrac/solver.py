@@ -105,7 +105,6 @@ __all__ = [
     "solve",
     "l1_stepper",
     "weak_residual",
-    "solution_to_csv",
     "solution_csv_rows",
     "solution_metadata",
 ]
@@ -376,13 +375,8 @@ def weak_residual(sol: Solution, psi: Field, m: int, n: int) -> float:
     return term_time + term_form - term_load
 
 
-def solution_to_csv(sol: Solution) -> str:
-    """Serialize as CSV rows t, x, u with 17 significant digits."""
-    return "".join(solution_csv_rows(sol))
-
-
 def solution_csv_rows(sol: Solution) -> Iterator[str]:
-    """solution_to_csv in pieces: the header, then the n lines of each time level."""
+    """CSV rows t, x, u with 17 significant digits: the header, then the n lines of each time level."""
     yield "t,x,u\n"
     xs = [f",{x:.17g}," for x in sol.problem.grid.nodes().tolist()]
     for t, us in zip(sol.problem.mesh.times().tolist(), sol.states):

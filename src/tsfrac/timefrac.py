@@ -3,26 +3,28 @@
 The regularized fractional derivative d^alpha/dt^alpha (u - u(0)) is
 discretized by the L1 scheme (piecewise-linear convolution quadrature,
 positive decreasing weights, order 2-alpha).  On top of the L1
-derivative sit two verification tools:
+derivative sit two verification tools, each stated for one sign:
 
-* per-index checkers for the convex-part inequalities that follow from
-  the convolution-derivative product identity when H is the squared
+* a per-index checker for the (u+)^2 convex-part inequality that follows
+  from the convolution-derivative product identity when H is the squared
   positive part and k is nonnegative nonincreasing;
-* the extremum sign check: at a discrete global max (min) the L1
-  derivative of u - u(0) is >= 0 (<= 0).
+* the extremum sign check: at a discrete global max the L1 derivative
+  of u - u(0) is >= 0.
+
+The other sign is the same check on -u: (-u)+ = u- turns the (u+)^2
+inequality into the (u-)^2 one, and a min of u is a max of -u, where
+the L1 derivative, being linear, changes sign exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import check_order, convolve
 
 __all__ = [
-    "ConvexVerdicts",
     "l1_weights",
     "caputo_l1",
     "convex_inequality_check",
@@ -61,37 +63,26 @@ def caputo_l1(u: np.ndarray, tau: float, alpha: float, n: int) -> float:
     return float(np.dot(b, (v[1 : n + 1] - v[:n])[::-1]))
 
 
-@dataclass(frozen=True)
-class ConvexVerdicts:
-    """Per-index outcomes of the two convex-part inequalities.
+def convex_inequality_check(u: np.ndarray, k: np.ndarray, tau: float) -> np.ndarray:
+    """Check the (u+)^2 convex-part inequality of the fractional calculus at every index.
 
-    Arrays are indexed like the input series; entry 0 is vacuously True
-    (no completed step).  ``plus_part``: u+_n D(k*u)_n >= 1/2 D(k*(u+)^2)_n
-    within tol; ``minus_part``: u-_n D(k*u)_n <= -1/2 D(k*(u-)^2)_n within
-    tol, which is the ``plus_part`` inequality for -u, since (-u)+ = u-.
-    """
+    u and the kernel k are samples at t_n = n*tau.  Entry n of the
+    returned boolean array is the verdict on
+    u+_n D(k*u)_n >= 1/2 D(k*(u+)^2)_n within tol; entry 0 is vacuously
+    True (no completed step).  The (u-)^2 inequality
+    u-_n D(k*u)_n <= -1/2 D(k*(u-)^2)_n is this one for -u, since
+    (-u)+ = u-: its verdicts are convex_inequality_check(-u, k, tau).
 
-    plus_part: np.ndarray
-    minus_part: np.ndarray
-
-    def all_ok(self) -> bool:
-        return bool(np.all(self.plus_part) and np.all(self.minus_part))
-
-
-def convex_inequality_check(u: np.ndarray, k: np.ndarray, tau: float) -> ConvexVerdicts:
-    """Check the convex-part inequalities of the fractional calculus at every index.
-
-    u and the kernel k are samples at t_n = n*tau.  The difference
-    quotient D at index n spans the last completed cell [t_{n-1}, t_n] and
-    is paired with the parts of u at its right endpoint t_n; in that
-    pairing the inequalities hold in exact arithmetic for any kernel whose
-    samples are nonnegative and nonincreasing (Abel summation plus
+    The difference quotient D at index n spans the last completed cell
+    [t_{n-1}, t_n] and is paired with u+ at its right endpoint t_n; in
+    that pairing the inequality holds in exact arithmetic for any kernel
+    whose samples are nonnegative and nonincreasing (Abel summation plus
     convexity of the squared positive part), so the tolerance only absorbs
     roundoff: tol = 1e-10 * max(1, ||u||_inf^2 * ||k||_L1).
 
     The kernel samples are required to be nonnegative and nonincreasing;
     for a hump-shaped kernel (e.g. the mollified power-law family) the
-    inequalities are genuinely false, so such input is rejected rather
+    inequality is genuinely false, so such input is rejected rather
     than reported as a violation.
     """
     k = np.asarray(k, dtype=float)
@@ -104,46 +95,30 @@ def convex_inequality_check(u: np.ndarray, k: np.ndarray, tau: float) -> ConvexV
         )
     v = np.asarray(u, dtype=float)
     up = np.maximum(v, 0.0)
-    um = np.maximum(-v, 0.0)
     knorm = tau * float(np.sum(np.abs(k)))
     tol = 1e-10 * max(1.0, float(np.max(np.abs(v))) ** 2 * knorm)
-    cu = convolve(k, v, tau)
-    cp2 = convolve(k, up**2, tau)
-    cm2 = convolve(k, um**2, tau)
-
-    def D(x):
-        return (x[1:] - x[:-1]) / tau
-
-    s_plus = up[1:] * D(cu) - 0.5 * D(cp2)
-    s_minus = -(um[1:] * D(cu) + 0.5 * D(cm2))
-    pad = np.array([True])
-    return ConvexVerdicts(
-        plus_part=np.concatenate([pad, s_plus >= -tol]),
-        minus_part=np.concatenate([pad, s_minus >= -tol]),
-    )
+    dcu = np.diff(convolve(k, v, tau)) / tau
+    dcp2 = np.diff(convolve(k, up**2, tau)) / tau
+    return np.concatenate([[True], up[1:] * dcu - 0.5 * dcp2 >= -tol])
 
 
-def rl_extremum_sign(u: np.ndarray, tau: float, alpha: float, n0: int, mode: str) -> tuple[float, bool]:
-    """L1-discrete derivative of u - u_0 at a global extremum index, plus verdict.
+def rl_extremum_sign(u: np.ndarray, tau: float, alpha: float, n0: int) -> tuple[float, bool]:
+    """L1-discrete derivative of u - u_0 at a global maximum index, plus verdict.
 
     u holds samples at t_n = n*tau.  At a discrete global max over 0..M
-    the value is >= 0 exactly (and <= 0 at a min); the verdict allows -tol
-    (max mode) or +tol (min mode) of roundoff, with
+    the value is >= 0 exactly; the verdict allows -tol of roundoff, with
     tol = 1e-10 * tau^(-alpha) * max(1, range of u).  The index must
-    satisfy n0 >= 1 and actually attain the extremum.
+    satisfy n0 >= 1 and actually attain the maximum.  At a global min the
+    value is <= 0: that is this check on -u, whose value is exactly the
+    negated one, as the L1 derivative is odd in u.
     """
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     if n0 < 1:
         raise ValueError("extremum sign check needs n0 >= 1 (t must be positive)")
     v = np.asarray(u, dtype=float)
     if not 0 <= n0 <= len(v) - 1:
         raise ValueError(f"index n0={n0} outside series of length {len(v)}")
-    if mode == "max" and v[n0] < np.max(v):
+    if v[n0] < np.max(v):
         raise ValueError(f"u does not attain its maximum at n0={n0}")
-    if mode == "min" and v[n0] > np.min(v):
-        raise ValueError(f"u does not attain its minimum at n0={n0}")
     value = caputo_l1(v, tau, alpha, n0)
     tol = 1e-10 * tau ** (-alpha) * max(1.0, float(np.ptp(v)))
-    ok = value >= -tol if mode == "max" else value <= tol
-    return value, bool(ok)
+    return value, bool(value >= -tol)

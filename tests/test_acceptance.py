@@ -166,7 +166,8 @@ def test_criterion_08_convex_inequalities(m):
     for _ in range(500):
         breaks = np.linspace(0, M, 8).astype(int)
         u = np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8))
-        ok &= convex_inequality_check(u, k, mesh.tau).all_ok()
+        for s in (u, -u):  # the (u+)^2 and (u-)^2 inequalities
+            ok &= bool(np.all(convex_inequality_check(s, k, mesh.tau)))
     _line(8, ok, f"convexity inequalities, 500 trajectories, m={m}, tol 1e-10 rel", t0)
 
 
@@ -227,11 +228,11 @@ def test_criterion_11_extremum_sign_check():
         spline = CubicSpline(np.linspace(0.0, 2.0, 7), rng.uniform(-1.0, 1.0, 7))
         u = spline(t)
         alpha = float(rng.uniform(0.05, 0.95))
-        for mode, pick in (("max", np.argmax), ("min", np.argmin)):
-            n0 = int(pick(u))
+        for s in (u, -u):  # the max and the min of u
+            n0 = int(np.argmax(s))
             if n0 == 0:
                 continue
-            _, verdict = rl_extremum_sign(u, tau, alpha, n0, mode)
+            _, verdict = rl_extremum_sign(s, tau, alpha, n0)
             ok &= verdict
             checked += 1
     _line(11, ok and checked >= 200, f"extremum sign verdicts, {checked} checks over 200 trajectories", t0)

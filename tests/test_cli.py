@@ -119,7 +119,7 @@ class TestSolveCommand:
         finally:
             tracemalloc.stop()
         assert peak < 1e6, peak
-        assert (out / "solution.csv").read_bytes() == solver.solution_to_csv(sol).encode()
+        assert (out / "solution.csv").read_bytes() == "".join(solver.solution_csv_rows(sol)).encode()
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path)

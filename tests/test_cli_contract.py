@@ -202,6 +202,23 @@ def test_tiny_alpha_convergence_ends_quickly():
     assert err == ["error: convergence: key 'alpha': 1 - alpha rounds to 1.0 at alpha=1e-300"]
 
 
+# Configs whose own grid and mesh are sound but whose weak-residual
+# study, at n = 24 nodes and M = 32 steps, is not: (changes, error line).
+WEAK_GRID_REFUSALS = [
+    ({"a": 0, "b": 1e156, "n": 100},
+     "error: convergence: keys 'a','b': with n=24 the spacing h = (b - a)/(n + 1) = 4e+154 squares to inf"),
+    ({"T": 1e-307, "M": 1},
+     "error: convergence: key 'T': with M=32 the time step T/M = 3.125e-309 is below the smallest normal float"),
+]
+
+
+@pytest.mark.parametrize("updates, line", WEAK_GRID_REFUSALS)
+def test_convergence_refuses_weak_study_grid(updates, line):
+    text = json.dumps({**README, **updates})
+    assert run(text, CONVERGENCE) == (2, [line])
+    assert run(text, SOLVE) == (0, [])
+
+
 def test_tiny_alpha_and_beta_convergence_ends_quickly():
     # At beta = 1e-300, lam = 1 - 2^-53 <= 1 takes the series, which would
     # need about 1.8e11 terms at alpha = 1e-10.

@@ -164,6 +164,17 @@ class TestParabolicBoundary:
             assert report.status == "pass"
             assert report.location_class in (BoundaryClass.INITIAL, BoundaryClass.LATERAL)
 
+    @pytest.mark.parametrize("d, status, violation", [(1e-13, "pass", 0.0), (1e-11, "fail", 1.00000000001)])
+    def test_near_tie_rule(self, d, status, violation):
+        # An interior minimum -1 - d below the initial minimum -1 passes
+        # while d is within 1e-12 of the data scale (1 here) and fails beyond.
+        states = np.zeros((3, 5))
+        states[0, 1] = -1.0
+        states[1, 2] = -1.0 - d
+        report = check_parabolic_boundary(states, np.zeros((3, 5)))
+        assert report.location_class is BoundaryClass.INTERIOR
+        assert (report.status, report.violation) == (status, violation)
+
     def test_wrong_sign_hypothesis_flagged(self):
         sol = solve(small_problem(np.zeros(16), f=lambda x, t: -np.ones_like(x)))
         assert check_parabolic_boundary(sol.states, sol.forcing).status == "hypotheses-violated"

@@ -27,8 +27,8 @@ from tsfrac.solver import (
     Solution,
     config_hash,
     l1_stepper,
+    solution_csv_rows,
     solution_metadata,
-    solution_to_csv,
     solve,
     _BLOCK,
     _inverse,
@@ -142,8 +142,8 @@ class TestStepAndSolve:
 
     def test_determinism_byte_identical(self):
         problem = bump_problem(M=16, n=16)
-        csv1 = solution_to_csv(solve(problem))
-        csv2 = solution_to_csv(solve(problem))
+        csv1 = "".join(solution_csv_rows(solve(problem)))
+        csv2 = "".join(solution_csv_rows(solve(problem)))
         assert csv1 == csv2
 
     def test_near_classical_limit(self):
@@ -783,7 +783,7 @@ class TestSerialization:
     def test_csv_layout(self):
         problem = bump_problem(M=2, n=3)
         sol = solve(problem)
-        lines = solution_to_csv(sol).strip().split("\n")
+        lines = "".join(solution_csv_rows(sol)).strip().split("\n")
         assert lines[0] == "t,x,u"
         assert len(lines) == 1 + 3 * 3
         t, x, u = (float(v) for v in lines[1].split(","))
@@ -798,7 +798,7 @@ class TestSerialization:
             f"{t:.17g},{x:.17g},{sol.states[nt, i]:.17g}"
             for nt, t in enumerate(times) for i, x in enumerate(xs)
         ]
-        assert solution_to_csv(sol) == "\n".join(ref) + "\n"
+        assert "".join(solution_csv_rows(sol)) == "\n".join(ref) + "\n"
 
     def test_metadata_and_hash_stability(self):
         problem = bump_problem(M=2, n=3)

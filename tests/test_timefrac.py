@@ -269,15 +269,13 @@ class TestConvexInequalities:
         mesh = TimeMesh(1.0, 64)
         k = monotone_regularized_kernel(0.5, 8, mesh)
         u = np.linspace(0.0, 2.0, 65) ** 2
-        v = convex_inequality_check(u, k, mesh.tau)
-        assert np.all(v.minus_part)
+        assert np.all(convex_inequality_check(-u, k, mesh.tau))  # (u-)^2 of u
 
     def test_nonpositive_signal_trivial_plus_part(self):
         mesh = TimeMesh(1.0, 64)
         k = monotone_regularized_kernel(0.5, 8, mesh)
         u = -np.linspace(0.0, 2.0, 65)
-        v = convex_inequality_check(u, k, mesh.tau)
-        assert np.all(v.plus_part)
+        assert np.all(convex_inequality_check(u, k, mesh.tau))
 
     @pytest.mark.parametrize("m", [4, 64])
     def test_random_piecewise_linear_all_pass(self, m):
@@ -288,25 +286,30 @@ class TestConvexInequalities:
         for _ in range(500):
             breaks = np.linspace(0, M, 8).astype(int)
             u = np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8))
-            v = convex_inequality_check(u, k, mesh.tau)
-            assert v.all_ok()
+            for s in (u, -u):
+                assert np.all(convex_inequality_check(s, k, mesh.tau))
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("m", [1, 16, 256])
     def test_minus_part_is_plus_part_of_negation(self, alpha, m):
-        # (-u)+ = u- and D(k*(-u)) = -D(k*u) exactly in floating point, so
-        # the two verdicts swap bit for bit under u -> -u
+        # the (u-)^2 inequality u-_n D(k*u)_n <= -1/2 D(k*(u-)^2)_n, written
+        # out here with the tolerance of the check, has the verdicts of the
+        # check on -u bit for bit: (-u)+ = u- and D(k*(-u)) = -D(k*u) exactly
         M = 128
         mesh = TimeMesh(1.0, M)
+        tau = mesh.tau
         k = monotone_regularized_kernel(alpha, m, mesh)
         rng = np.random.default_rng(7 + m)
         for _ in range(10):
             breaks = np.linspace(0, M, 8).astype(int)
             vals = np.interp(np.arange(M + 1), breaks, rng.uniform(-1, 1, 8))
-            v = convex_inequality_check(vals, k, mesh.tau)
-            w = convex_inequality_check(-vals, k, mesh.tau)
-            assert np.array_equal(w.plus_part, v.minus_part)
-            assert np.array_equal(w.minus_part, v.plus_part)
+            um = np.maximum(-vals, 0.0)
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(vals))) ** 2 * (tau * float(np.sum(k))))
+            cu, cm2 = convolve(k, vals, tau), convolve(k, um**2, tau)
+            dcu, dcm2 = (cu[1:] - cu[:-1]) / tau, (cm2[1:] - cm2[:-1]) / tau
+            minus = -(um[1:] * dcu + 0.5 * dcm2) >= -tol
+            w = convex_inequality_check(-vals, k, tau)
+            assert w[0] and np.array_equal(w[1:], minus)
 
     def test_hump_kernel_rejected(self):
         # the mollified family rises from 0, which breaks the inequalities
@@ -322,25 +325,27 @@ class TestExtremumSign:
         M = 256
         u, tau = _sample(lambda t: t * (2.0 - t), 2.0, M)
         n0 = int(np.argmax(u))
-        val, ok = rl_extremum_sign(u, tau, 0.5, n0, "max")
+        val, ok = rl_extremum_sign(u, tau, 0.5, n0)
         assert ok and val >= 0.0
 
     def test_constant_passes_both_modes(self):
         u, tau = np.full(65, 1.23), 0.01
-        for mode in ("max", "min"):
-            val, ok = rl_extremum_sign(u, tau, 0.3, 10, mode)
+        for s in (u, -u):  # index 10 is a max and a min of u
+            val, ok = rl_extremum_sign(s, tau, 0.3, 10)
             assert ok
             assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_shifted_parabola_min_matches_closed_form(self):
         # u = (t-1)^2 on [0,2]: the order-1/2 derivative of u - u(0) at the
-        # the minimum t = 1 is 2/Gamma(2.5) - 2/Gamma(1.5) < 0
+        # the minimum t = 1 is 2/Gamma(2.5) - 2/Gamma(1.5) < 0; the check
+        # on -u, whose max that is, returns the negated value
         M = 4096
         u, tau = _sample(lambda t: (t - 1.0) ** 2, 2.0, M)
         n0 = int(np.argmin(u))
-        val, ok = rl_extremum_sign(u, tau, 0.5, n0, "min")
+        val, ok = rl_extremum_sign(-u, tau, 0.5, n0)
         assert ok
-        assert val == pytest.approx(D_HALF_T2M2T_AT_1, abs=5e-3)
+        assert val == -caputo_l1(u, tau, 0.5, n0)
+        assert -val == pytest.approx(D_HALF_T2M2T_AT_1, abs=5e-3)
 
     def test_lemma_property_on_random_splines(self):
         rng = np.random.default_rng(11)
@@ -353,11 +358,11 @@ class TestExtremumSign:
             spline = CubicSpline(knots, rng.uniform(-1.0, 1.0, 7))
             u = spline(t)
             alpha = rng.uniform(0.05, 0.95)
-            for mode, pick in (("max", np.argmax), ("min", np.argmin)):
-                n0 = int(pick(u))
+            for s in (u, -u):
+                n0 = int(np.argmax(s))
                 if n0 == 0:
                     continue
-                _, ok = rl_extremum_sign(u, tau, alpha, n0, mode)
+                _, ok = rl_extremum_sign(s, tau, alpha, n0)
                 assert ok
                 passes += 1
         assert passes > 100  # most draws have an interior or terminal extremum
@@ -365,10 +370,10 @@ class TestExtremumSign:
     def test_precondition_errors(self):
         u, tau = _sample(lambda t: t, 1.0, 16)
         with pytest.raises(ValueError):
-            rl_extremum_sign(u, tau, 0.5, 0, "max")  # t0 must be positive
+            rl_extremum_sign(u, tau, 0.5, 0)  # t0 must be positive
         with pytest.raises(ValueError):
-            rl_extremum_sign(u, tau, 0.5, 3, "max")  # max is at the last index
-        with pytest.raises(ValueError):
-            rl_extremum_sign(u, tau, 0.5, 16, "middle")
+            rl_extremum_sign(u, tau, 0.5, 3)  # max is at the last index
+        with pytest.raises(ValueError, match="maximum"):
+            rl_extremum_sign(-u, tau, 0.5, 16)  # the last index is the min of -u
         with pytest.raises(ValueError, match="alpha"):
-            rl_extremum_sign(u, tau, 1.0, 16, "max")
+            rl_extremum_sign(u, tau, 1.0, 16)
