@@ -86,8 +86,6 @@ serialization of a Solution.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -400,5 +398,11 @@ def solution_metadata(sol: Solution, config_hash: str = "") -> dict:
 
 def config_hash(config: dict) -> str:
     """Stable content hash of a configuration mapping."""
+    # Imported here, as only solve and verify hash a config: hashlib with
+    # OpenSSL's _hashlib took 3.0-9.1 ms (median 4.4) of a cold `import
+    # tsfrac` under -X importtime, json 1.5-2.4 ms more.
+    import hashlib
+    import json
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

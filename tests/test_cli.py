@@ -450,6 +450,30 @@ def test_commands_import_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_only_hashing_commands_import_hashlib(tmp_path):
+    # config_hash imports hashlib and json when called: `import tsfrac`
+    # loads neither, and kernel-table and convergence, which hash no
+    # config, never load OpenSSL's _hashlib
+    cfg = write_config(tmp_path)
+    code = (
+        "import sys, tsfrac\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib', 'json') if m in sys.modules))\n"
+        "from tsfrac import cli\n"
+        f"cfg, out = {str(cfg)!r}, {str(tmp_path / 'out')!r}\n"
+        "for argv in (['kernel-table'], ['convergence']):\n"
+        "    assert cli.main(argv + ['--config', cfg, '--out', out]) == 0, argv\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "False")
+
+
 # The config block of the README, verbatim.
 README_CONFIG = {
     "alpha": 0.5, "beta": 0.5, "a": -1.0, "b": 1.0, "n": 128, "T": 1.0, "M": 256,

@@ -7,15 +7,20 @@ an invalid config prints its header line and then one line per offending
 key.  Nothing ever ends in a traceback.  Hypothesis draws configs (missing
 and unknown keys, wrong JSON types, interval endpoints, values at the
 edges of float64, sizes past the memory budget) and grammar-built
-expressions, and each one runs in process through one subcommand.
+expressions, and each one runs in process through one subcommand.  A
+few runs go through the process entry point, ``python -m tsfrac`` and
+``cli.run()``, one per exit code, and with a stdout whose reader has gone.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -228,3 +233,89 @@ def test_tiny_alpha_and_beta_convergence_ends_quickly():
     assert code == 3
     assert err == ["internal numeric error: Mittag-Leffler series did not converge within "
                    "100000 terms (alpha=1e-10, z=-0.9999999999999999)"]
+
+
+# Through the process entry point: run() ends the process with os._exit
+# after flushing, so the exit code and the streams are checked from outside.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+LAUNCHERS = {"module": ["-m", "tsfrac"], "run": ["-c", "from tsfrac.cli import run; run()"]}
+# caputo_l1 negated in the child before run(): the identities suite must fail.
+NEGATED = ("from tsfrac import cli, timefrac\n"
+           "l1 = timefrac.caputo_l1\n"
+           "timefrac.caputo_l1 = lambda *args: -l1(*args)\n"
+           "cli.run()\n")
+
+
+def launch(launcher: list, argv: list, cwd: Path, stdout=subprocess.PIPE, unbuffered=False):
+    """Run `python <launcher> <argv>` in cwd on this checkout's sources.
+
+    stdout is block-buffered, as in a pipe of a shell, unless unbuffered.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, *launcher, *argv], cwd=cwd, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+
+
+def config_args(tmp_path: Path, updates: dict) -> list:
+    """The README config at n = 128, M = 256 with updates, as --config and --out arguments."""
+    (tmp_path / "config.json").write_text(json.dumps({**README, "n": 128, "M": 256, **updates}))
+    return ["--config", "config.json", "--out", "out"]
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS.values(), ids=LAUNCHERS)
+def test_process_solve_exits_zero(launcher, tmp_path):
+    args = config_args(tmp_path, {})
+    proc = launch(launcher, ["solve", *args], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "solve: wrote out/solution.csv and out/metadata.json\n", "")
+    inproc = tmp_path / "inproc"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--config", str(tmp_path / "config.json"), "--out", str(inproc)]) == 0
+    for name in ("solution.csv", "metadata.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (inproc / name).read_bytes(), name
+
+
+# (changes to the config, exit code, stderr lines) of a run that is refused.
+PROCESS_REFUSALS = [
+    ({"bogus": 1}, 2, ["error: invalid config:", "  unknown key 'bogus'"]),
+    ({"alpha": 1e-12, "M": 4096}, 3, [
+        "internal numeric error: L1 weights at alpha=1e-12, M=4096 break "
+        "b_0 > 0, b_(j-1) >= b_j, b_M >= 0 first at j=2775"]),
+]
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS.values(), ids=LAUNCHERS)
+@pytest.mark.parametrize("updates, code, lines", PROCESS_REFUSALS, ids=["config", "weights"])
+def test_process_refusal_exit_code(launcher, updates, code, lines, tmp_path):
+    proc = launch(launcher, ["solve", *config_args(tmp_path, updates)], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (code, "", lines)
+
+
+def test_process_verify_failure_exits_one(tmp_path):
+    args = config_args(tmp_path, {})
+    proc = launch(["-c", NEGATED], ["verify", "--suite", "identities", *args], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "verify[identities]: FAIL; report at out/verify_report.json\n", "")
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["identities"]["trials"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_two(unbuffered, tmp_path):
+    # kernel-table prints one line to a pipe whose reader has gone: with a
+    # block-buffered stdout the write fails in run()'s flush, unbuffered
+    # it fails inside main; either way one error line and exit 2
+    args = config_args(tmp_path, {"n": 16, "M": 16})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = launch(LAUNCHERS["module"], ["kernel-table", *args], tmp_path, stdout=write_end,
+                      unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.splitlines()) == (2, ["error: [Errno 32] Broken pipe"])
